@@ -14,6 +14,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "proto/wire.h"
+#include "rot/attest.h"
 #include "store/fleet_store.h"
 #include "store/ship.h"
 #include "verifier/firmware_artifact.h"
@@ -193,7 +194,8 @@ struct fleet_batch_bench {
       : rounds(n_rounds) {
     cfg.seed = 0xfee1f1ee7ull;
     cfg.max_outstanding = static_cast<std::uint32_t>(rounds);
-    cfg.sequential_batch = true;  // callers override for parallel runs
+    // No executor: inline batches (callers set cfg.executor for parallel
+    // runs).
     // These benches measure the raw per-report verify pipeline. The
     // frames deliberately share attested inputs (one firmware, same
     // args), so the replay memo would turn all but one replay per round
@@ -392,23 +394,21 @@ BENCHMARK(BM_fleet_obs_overhead)
 
 void BM_fleet_verify_batch_parallel(benchmark::State& state) {
   // Thread-scaling sweep over the same workload: 32 devices x 4 rounds
-  // (128 frames/batch), `range(0)` = total verify threads. 1 means the
-  // strictly sequential inline path (the baseline the speedup is measured
-  // against); w > 1 means a pool of w-1 workers plus the calling thread.
-  const auto total_threads = static_cast<std::uint32_t>(state.range(0));
+  // (128 frames/batch) on an executor of `range(0)` threads, the calling
+  // thread joining in as one more. 0 is the strictly sequential inline
+  // path (the baseline the speedup is measured against).
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  dialed::thread_pool executor(workers);
   fleet_batch_bench bench(32);
-  if (total_threads > 1) {
-    bench.cfg.sequential_batch = false;
-    bench.cfg.workers = total_threads - 1;
-  }
+  bench.cfg.executor = &executor;
   bench.run(state);
-  state.counters["threads"] = total_threads;
+  state.counters["executor_workers"] = static_cast<double>(workers);
 }
 BENCHMARK(BM_fleet_verify_batch_parallel)
+    ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->Arg(3)
+    ->Arg(7)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -583,7 +583,6 @@ void BM_fleet_delta_submit(benchmark::State& state) {
   const auto id = reg.provision(prog);
   dialed::fleet::hub_config cfg;
   cfg.seed = 0xfee1f1ee7ull;
-  cfg.sequential_batch = true;
   cfg.max_outstanding = 2;
 
   dialed::proto::prover_device dev(prog, reg.derive_key(id));
@@ -646,7 +645,6 @@ void BM_fleet_store_wal_append(benchmark::State& state) {
     fs::remove_all(dir);
     dialed::store::fleet_store::options opts;
     opts.master_key = bench_key();
-    opts.hub.sequential_batch = true;
     opts.wal.sync = static_cast<dialed::store::wal_sync>(state.range(0));
     shared = std::make_unique<dialed::store::fleet_state>(
         dialed::store::fleet_store::open(dir.string(), opts));
@@ -714,7 +712,6 @@ void BM_fleet_store_reopen(benchmark::State& state) {
   fs::remove_all(dir);
   dialed::store::fleet_store::options opts;
   opts.master_key = bench_key();
-  opts.hub.sequential_batch = true;
   const auto n = static_cast<std::uint32_t>(state.range(0));
   {
     auto st = dialed::store::fleet_store::open(dir.string(), opts);
@@ -787,6 +784,89 @@ void BM_partition_router_overhead(benchmark::State& state) {
 }
 BENCHMARK(BM_partition_router_overhead)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 
+void BM_partition_router_verify_batch(benchmark::State& state) {
+  // The router's scatter on the ACCEPTED path: 256 devices on one
+  // firmware, one round each, spread over `range(0)` partitions and
+  // verified as ONE router batch on a fixed executor (3 threads plus the
+  // caller). Every report runs the full MAC + replay (memo off), so the
+  // rows differ only in how the batch fans out across partitions — the
+  // shape BM_partition_router_overhead (replay rejections, sequential
+  // submits) cannot see. At a fixed core count throughput should not
+  // fall as partitions are added.
+  //
+  // Each iteration re-arms one challenge per device and re-signs the
+  // shared OR for it, outside the timed region: every device runs the
+  // same firmware on the same inputs, so the OR is nonce-independent
+  // and one emulated report serves the whole fleet.
+  constexpr std::size_t executor_workers = 3;
+  constexpr std::uint32_t devices = 256;
+  const auto parts = static_cast<std::size_t>(state.range(0));
+  dialed::fleet::hub_config cfg;
+  cfg.replay_memo_entries = 0;
+  auto fleet = dialed::fleet::partitioned_fleet::create(
+      parts, bench_key(), cfg, {}, executor_workers);
+  dialed::instr::link_options lo;
+  lo.entry = "op";
+  lo.mode = dialed::instr::instrumentation::dialed;
+  const auto prog = dialed::instr::build_operation(
+      "int g = 3;"
+      "int op(int n) { int s = 0; int i;"
+      "  for (i = 0; i < n; i++) { s = s + g + i; } return s; }",
+      lo);
+  for (dialed::fleet::device_id id = 1; id <= devices; ++id) {
+    fleet.provision(id, prog);
+  }
+  dialed::proto::prover_device dev(prog, bench_key());
+  dialed::proto::invocation inv;
+  inv.args[0] = 8;
+  auto rep = dev.invoke(std::array<std::uint8_t, 16>{}, inv);
+
+  auto& router = fleet.router();
+  std::vector<byte_vec> frames(devices);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (dialed::fleet::device_id id = 1; id <= devices; ++id) {
+      const auto g = router.challenge(id);
+      const auto* rec = fleet.registry_of(fleet.index_of(id)).find(id);
+      rep.challenge = g.nonce;
+      dialed::rot::attest_input in;
+      in.er_min = rep.er_min;
+      in.er_max = rep.er_max;
+      in.or_min = rep.or_min;
+      in.or_max = rep.or_max;
+      in.exec = rep.exec;
+      in.challenge = rep.challenge;
+      in.er_bytes = rec->firmware->er_bytes();
+      in.or_bytes = rep.or_bytes;
+      rep.mac = dialed::rot::compute_attestation_mac(rec->mac_state, in);
+      dialed::proto::frame_info info;
+      info.device_id = id;
+      info.seq = g.seq;
+      frames[id - 1] = dialed::proto::encode_frame(info, rep);
+    }
+    state.ResumeTiming();
+    const auto results = router.verify_batch(frames);
+    if (!std::all_of(results.begin(), results.end(),
+                     [](const auto& r) { return r.accepted(); })) {
+      state.SkipWithError("router batch report rejected");
+      break;
+    }
+    benchmark::DoNotOptimize(results);
+  }
+  state.counters["partitions"] = static_cast<double>(parts);
+  state.counters["executor_workers"] =
+      static_cast<double>(router.batch_workers());
+  state.counters["reports_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * devices,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_partition_router_verify_batch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_wal_ship_apply(benchmark::State& state) {
   // Follower apply throughput: records/s a warm standby validates,
   // applies to its image, and appends to its own WAL. The stream is one
@@ -813,7 +893,6 @@ void BM_wal_ship_apply(benchmark::State& state) {
   fs::remove_all(dir);
   dialed::store::fleet_store::options opts;
   opts.master_key = bench_key();
-  opts.hub.sequential_batch = true;
   capture_sink cap;
   {
     auto st = dialed::store::fleet_store::open((dir / "p").string(), opts);

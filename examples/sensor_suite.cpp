@@ -33,9 +33,13 @@ int main() {
   const auto kitchen = registry.provision(fire_prog);
   const auto garage = registry.provision(fire_prog);
   const auto door = registry.provision(ranger_prog);
-  // Default config: the hub shards device state across lock domains and
-  // fans verify_batch out over a worker pool sized to the machine.
-  fleet::verifier_hub hub(registry);
+  // The hub shards device state across lock domains and fans
+  // verify_batch out over the process's one executor, sized to the
+  // machine.
+  thread_pool executor(thread_pool::hardware_workers());
+  fleet::hub_config hub_cfg;
+  hub_cfg.executor = &executor;
+  fleet::verifier_hub hub(registry, hub_cfg);
   std::printf("hub: verify_batch on %zu worker thread(s) + caller\n",
               hub.batch_workers());
 

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <utility>
+
 namespace dialed {
 
 thread_pool::thread_pool(std::size_t workers) {
@@ -23,16 +25,26 @@ std::size_t thread_pool::hardware_workers() {
   return hw > 1 ? hw - 1 : 1;
 }
 
+executor_load thread_pool::load() const {
+  executor_load l;
+  l.workers = threads_.size();
+  l.busy_workers = active_.load(std::memory_order_relaxed);
+  const std::size_t n = n_.load(std::memory_order_relaxed);
+  const std::size_t next = next_.load(std::memory_order_relaxed);
+  l.queue_depth = next < n ? n - next : 0;
+  return l;
+}
+
 void thread_pool::drain_batch() noexcept {
-  // n_ and body_ are stable for the whole batch: they are written under
-  // mu_ before the epoch bump and read only by threads that synchronized
-  // on that bump (workers) or wrote them (the caller).
+  // n_ and body_ are stable for the whole batch: written under mu_ before
+  // the epoch bump, read by threads that synchronized on it or wrote them.
+  const std::size_t n = n_.load(std::memory_order_relaxed);
   for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-       i < n_; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+       i < n; i = next_.fetch_add(1, std::memory_order_relaxed)) {
     try {
       (*body_)(i);
     } catch (...) {
-      std::lock_guard<std::mutex> lk(err_mu_);
+      std::lock_guard<std::mutex> lk(mu_);
       if (!first_error_) first_error_ = std::current_exception();
     }
   }
@@ -52,31 +64,37 @@ void thread_pool::worker_loop() {
   }
 }
 
+void thread_pool::run(thread_pool* pool, std::size_t n,
+                      const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) return pool->parallel_for(n, body);
+  // Same exception contract as the pooled path: drain every index,
+  // rethrow the first failure afterwards.
+  std::exception_ptr first;
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      body(i);
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
+
 void thread_pool::parallel_for(
     std::size_t n, const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (threads_.empty() || n == 1) {
-    // Same exception contract as the pooled path: drain every index,
-    // rethrow the first failure afterwards.
-    std::exception_ptr first;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-    return;
+  if (threads_.empty() || n <= 1 ||
+      running_.exchange(true, std::memory_order_acquire)) {
+    // No workers, nothing to share, or the pool is busy with another
+    // batch (maybe this thread's own, one frame up): drain here, not wait.
+    return run(nullptr, n, body);
   }
-  std::lock_guard<std::mutex> run_lk(run_mu_);
   {
     std::lock_guard<std::mutex> lk(mu_);
-    n_ = n;
     body_ = &body;
+    n_.store(n, std::memory_order_relaxed);
     next_.store(0, std::memory_order_relaxed);
     first_error_ = nullptr;
-    active_ = threads_.size();
+    active_.store(threads_.size(), std::memory_order_relaxed);
     ++epoch_;
   }
   work_cv_.notify_all();
@@ -86,11 +104,9 @@ void thread_pool::parallel_for(
     done_cv_.wait(lk, [&] { return active_ == 0; });
     body_ = nullptr;
   }
-  if (first_error_) {
-    std::exception_ptr e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  const std::exception_ptr e = std::exchange(first_error_, nullptr);
+  running_.store(false, std::memory_order_release);
+  if (e) std::rethrow_exception(e);
 }
 
 }  // namespace dialed

@@ -1,20 +1,11 @@
-// The hub surface, extracted as an interface: everything the transport
-// layer (net/server, net/batcher), the tools, and the stats renderers
-// need from "a verifier hub" — issuing challenges, verifying submitted
-// frames, the tick clock, and counters. Two implementations:
-//
-//   * fleet::verifier_hub     one hub, one shard set, one store;
-//   * fleet::partition_router N hubs behind a consistent-hash ring
-//                             (src/fleet/partition.h), each typically
-//                             backed by its own fleet_store.
-//
-// Callers written against hub_like run unmodified on either — that is
-// the point: `dialed-serve --partitions N` is the same server binary
-// speaking to the same batcher, just handed a router instead of a hub.
-//
-// The value types (challenge_grant, hub_stats, attest_result) live here
-// rather than in verifier_hub.h so the router does not need the concrete
-// hub's header to describe its results.
+// The hub surface: everything the transport (net/server, net/batcher),
+// the tools and the stats renderers need from "a verifier hub" —
+// challenges, frame verification, the tick clock, counters. Two
+// implementations: fleet::verifier_hub (one shard set, one store) and
+// fleet::partition_router (N hubs behind a consistent-hash ring,
+// src/fleet/partition.h). Callers run unmodified on either:
+// `dialed-serve --partitions N` is the same binary handed a router.
+// The value types live here so the router needs no concrete hub header.
 //
 // Threading: implementations must keep verifier_hub's contract — every
 // method here is safe to call concurrently from any number of threads.
@@ -28,6 +19,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/thread_pool.h"
 #include "fleet/persist.h"
 #include "obs/obs.h"
 #include "proto/errors.h"
@@ -129,10 +121,11 @@ class hub_like {
   /// Thread-safe, reentrant.
   virtual attest_result submit(std::span<const std::uint8_t> frame) = 0;
 
-  /// Verify a batch of independent frames in parallel; results come back
-  /// in input order regardless of completion order.
-  virtual std::vector<attest_result> verify_batch(
-      std::span<const byte_vec> frames) = 0;
+  /// Verify a batch of independent frames in parallel: one flat fan-out
+  /// over executor(), each frame submitted to its route(). Results come
+  /// back in input order; each hub touched counts its share in its batch
+  /// gauges. If frames throw, the rest still run; the first is rethrown.
+  std::vector<attest_result> verify_batch(std::span<const byte_vec> frames);
 
   /// Advance the monotonic clock by `n` ticks. Thread-safe.
   virtual void tick(std::uint64_t n) = 0;
@@ -144,7 +137,11 @@ class hub_like {
   virtual std::size_t outstanding(device_id id) const = 0;
 
   /// Worker threads backing verify_batch (0 = inline/sequential).
-  virtual std::size_t batch_workers() const = 0;
+  std::size_t batch_workers() const {
+    return executor() != nullptr ? executor()->workers() : 0;
+  }
+  /// The executor verify_batch fans out on (not owned); nullptr = inline.
+  virtual thread_pool* executor() const { return nullptr; }
 
   /// Snapshot of the monotonic counters; pass include_per_device = false
   /// for the cheap lock-free hub-level scalars only.
@@ -170,6 +167,14 @@ class hub_like {
   /// Bounded flight-recorder dump (slowest + rejected span traces). A
   /// router merges its partitions' dumps with span_trace::partition set.
   virtual obs::trace_dump traces() const { return {}; }
+
+ protected:
+  /// The hub that verifies a frame: this one, or a router's partition.
+  virtual hub_like& route(std::span<const std::uint8_t>) { return *this; }
+  /// Batch gauges around this hub's `frames`-frame share of a batch;
+  /// `completed` is false when the batch threw.
+  virtual void batch_begin() {}
+  virtual void batch_end(std::size_t /*frames*/, bool /*completed*/) {}
 };
 
 }  // namespace dialed::fleet

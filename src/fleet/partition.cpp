@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <thread>
 
 #include "common/error.h"
 #include "proto/wire.h"
@@ -36,8 +35,9 @@ constexpr std::uint32_t manifest_version = 1;
 // ---------------------------------------------------------------------------
 
 partition_router::partition_router(std::vector<hub_like*> partitions,
-                                   router_config cfg)
-    : cfg_(cfg), parts_(partitions.size()) {
+                                   router_config cfg,
+                                   thread_pool* executor)
+    : cfg_(cfg), executor_(executor), parts_(partitions.size()) {
   if (partitions.empty()) {
     throw error("partition_router: at least one partition required");
   }
@@ -72,62 +72,18 @@ challenge_grant partition_router::challenge(device_id id) {
   return at(index_of(id))->challenge(id);
 }
 
-attest_result partition_router::submit(
-    std::span<const std::uint8_t> frame) {
+hub_like& partition_router::route(std::span<const std::uint8_t> frame) {
   // Route on the sniffed header id; a frame too damaged to sniff goes to
   // partition 0, whose decoder rejects it with the same typed error a
   // bare hub would (a lying-but-sniffable header reaches a partition
   // that does not know the device: unknown_device, again hub-identical).
   const auto id = proto::peek_device_id(frame);
-  return at(id ? index_of(*id) : 0)->submit(frame);
+  return *at(id ? index_of(*id) : 0);
 }
 
-std::vector<attest_result> partition_router::verify_batch(
-    std::span<const byte_vec> frames) {
-  if (frames.empty()) return {};
-
-  std::vector<std::size_t> owner(frames.size());
-  std::vector<std::size_t> load(parts_.size(), 0);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto id = proto::peek_device_id(frames[i]);
-    owner[i] = id ? index_of(*id) : 0;
-    ++load[owner[i]];
-  }
-
-  // Single-partition batch (the common case under per-connection
-  // batching): pass the span straight through, zero copies.
-  const std::size_t first = owner[0];
-  if (load[first] == frames.size()) {
-    return at(first)->verify_batch(frames);
-  }
-
-  // Scatter: each involved partition verifies its slice on its own
-  // worker pool, partitions in parallel with each other; results land
-  // back at their original indices.
-  std::vector<std::vector<byte_vec>> slice(parts_.size());
-  std::vector<std::vector<std::size_t>> positions(parts_.size());
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    slice[p].reserve(load[p]);
-    positions[p].reserve(load[p]);
-  }
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    slice[owner[i]].push_back(frames[i]);
-    positions[owner[i]].push_back(i);
-  }
-
-  std::vector<attest_result> out(frames.size());
-  std::vector<std::thread> workers;
-  for (std::size_t p = 0; p < parts_.size(); ++p) {
-    if (slice[p].empty()) continue;
-    workers.emplace_back([this, p, &slice, &positions, &out] {
-      const auto results = at(p)->verify_batch(slice[p]);
-      for (std::size_t j = 0; j < results.size(); ++j) {
-        out[positions[p][j]] = results[j];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  return out;
+attest_result partition_router::submit(
+    std::span<const std::uint8_t> frame) {
+  return route(frame).submit(frame);
 }
 
 void partition_router::tick(std::uint64_t n) {
@@ -144,10 +100,6 @@ std::uint64_t partition_router::now() const {
 
 std::size_t partition_router::outstanding(device_id id) const {
   return at(index_of(id))->outstanding(id);
-}
-
-std::size_t partition_router::batch_workers() const {
-  return at(0)->batch_workers();
 }
 
 hub_stats partition_router::stats(bool include_per_device) const {
@@ -314,29 +266,25 @@ void check_or_write_manifest(const std::string& dir, std::size_t n,
 partitioned_fleet partitioned_fleet::create(std::size_t n,
                                             byte_vec master_key,
                                             hub_config hub_cfg,
-                                            router_config rcfg) {
+                                            router_config rcfg,
+                                            std::size_t workers) {
   if (n == 0) throw error("partitioned_fleet: zero partitions");
-  partitioned_fleet f;
-  f.partitions_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  return build(n, rcfg, workers, [&](std::size_t, thread_pool* executor) {
     store::fleet_state st;
     st.catalog = std::make_shared<firmware_catalog>();
     st.registry =
         std::make_unique<device_registry>(master_key, st.catalog);
+    hub_cfg.executor = executor;
     st.hub = std::make_unique<verifier_hub>(*st.registry, hub_cfg);
-    f.partitions_.push_back(std::move(st));
-  }
-  std::vector<hub_like*> hubs;
-  hubs.reserve(n);
-  for (auto& p : f.partitions_) hubs.push_back(p.hub.get());
-  f.router_ = std::make_unique<partition_router>(std::move(hubs), rcfg);
-  return f;
+    return st;
+  });
 }
 
 partitioned_fleet partitioned_fleet::open(const std::string& dir,
                                           std::size_t n,
                                           store::fleet_store::options opts,
-                                          router_config rcfg) {
+                                          router_config rcfg,
+                                          std::size_t workers) {
   if (n == 0) throw error("partitioned_fleet: zero partitions");
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -345,18 +293,26 @@ partitioned_fleet partitioned_fleet::open(const std::string& dir,
                       dir + ": create: " + ec.message());
   }
   check_or_write_manifest(dir, n, rcfg);
+  return build(n, rcfg, workers, [&](std::size_t i, thread_pool* executor) {
+    opts.hub.executor = executor;
+    return store::fleet_store::open(
+        (fs::path(dir) / ("p" + std::to_string(i))).string(), opts);
+  });
+}
 
+partitioned_fleet partitioned_fleet::build(
+    std::size_t n, const router_config& rcfg, std::size_t workers,
+    const std::function<store::fleet_state(std::size_t, thread_pool*)>&
+        make_partition) {
   partitioned_fleet f;
-  f.partitions_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string pdir =
-        (fs::path(dir) / ("p" + std::to_string(i))).string();
-    f.partitions_.push_back(store::fleet_store::open(pdir, opts));
-  }
+  f.executor_ = std::make_unique<thread_pool>(workers);
   std::vector<hub_like*> hubs;
-  hubs.reserve(n);
-  for (auto& p : f.partitions_) hubs.push_back(p.hub.get());
-  f.router_ = std::make_unique<partition_router>(std::move(hubs), rcfg);
+  for (std::size_t i = 0; i < n; ++i) {
+    f.partitions_.push_back(make_partition(i, f.executor_.get()));
+    hubs.push_back(f.partitions_.back().hub.get());
+  }
+  f.router_ = std::make_unique<partition_router>(std::move(hubs), rcfg,
+                                                 f.executor_.get());
   return f;
 }
 
@@ -381,6 +337,7 @@ store::fleet_state partitioned_fleet::release_partition(std::size_t i) {
 void partitioned_fleet::install_partition(std::size_t i,
                                           store::fleet_state st) {
   partitions_[i] = std::move(st);
+  partitions_[i].hub->set_executor(executor_.get());
   router_->replace(i, partitions_[i].hub.get());
 }
 

@@ -17,9 +17,11 @@
 // SNIFFED from the frame header (proto::peek_device_id). A frame too
 // damaged to sniff goes to partition 0, whose decoder rejects it with
 // exactly the typed error a bare hub would return — routing never
-// invents new error surfaces. verify_batch() scatters frames to their
-// partitions (single-partition batches pass straight through) and
-// reassembles results in input order.
+// invents new error surfaces. verify_batch() is hub_like's one flat
+// fan-out over the caller's frames on the process's single executor
+// (owned by partitioned_fleet, shared with every partition hub): no
+// slice copies, no per-partition threads; each partition's batch gauges
+// count its share.
 //
 // Because placement is part of anti-replay soundness (a device's nonce
 // history lives only on its owning partition), the DURABLE layout pins
@@ -40,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,10 +66,12 @@ struct router_config {
 
 class partition_router final : public hub_like {
  public:
-  /// Router over existing hubs (not owned; must outlive the router).
-  /// Throws dialed::error on an empty partition set.
+  /// Router over existing hubs and executor (not owned; must outlive the
+  /// router; null executor = inline). Throws dialed::error on an empty
+  /// partition set.
   partition_router(std::vector<hub_like*> partitions,
-                   router_config cfg = router_config{});
+                   router_config cfg = router_config{},
+                   thread_pool* executor = nullptr);
 
   /// Owning partition index for a device id. Pure and stable.
   std::size_t index_of(device_id id) const;
@@ -81,8 +86,6 @@ class partition_router final : public hub_like {
   // ---- hub_like ------------------------------------------------------
   challenge_grant challenge(device_id id) override;
   attest_result submit(std::span<const std::uint8_t> frame) override;
-  std::vector<attest_result> verify_batch(
-      std::span<const byte_vec> frames) override;
   /// Ticks every partition: the fleet shares one logical clock.
   void tick(std::uint64_t n) override;
   using hub_like::tick;
@@ -90,7 +93,6 @@ class partition_router final : public hub_like {
   /// tick is in flight).
   std::uint64_t now() const override;
   std::size_t outstanding(device_id id) const override;
-  std::size_t batch_workers() const override;
   /// Aggregate across partitions: counters sum; per_device maps merge
   /// (disjoint by routing); last_batch_frames takes the max.
   hub_stats stats(bool include_per_device = true) const override;
@@ -98,10 +100,14 @@ class partition_router final : public hub_like {
   /// Stage histograms summed across partitions.
   obs::pipeline_snapshot pipeline() const override;
   std::vector<obs::pipeline_snapshot> partition_pipelines() const override;
+  thread_pool* executor() const override { return executor_; }
   /// Partition dumps merged, each trace tagged with its partition index;
   /// slow traces are re-ranked fleet-wide (slowest last), both rings
   /// re-bounded to one partition's capacity.
   obs::trace_dump traces() const override;
+
+ protected:
+  hub_like& route(std::span<const std::uint8_t> frame) override;
 
  private:
   hub_like* at(std::size_t idx) const {
@@ -109,6 +115,7 @@ class partition_router final : public hub_like {
   }
 
   router_config cfg_;
+  thread_pool* executor_;
   std::vector<std::atomic<hub_like*>> parts_;
   /// Sorted ring of (hash point, partition index).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
@@ -125,20 +132,24 @@ class partitioned_fleet {
 
   /// In-memory fleet: N hubs over N registries sharing one master key.
   /// Device keys derive from (master key, id), so placement does not
-  /// change any device's credentials.
-  static partitioned_fleet create(std::size_t n, byte_vec master_key,
-                                  hub_config hub_cfg = {},
-                                  router_config rcfg = router_config{});
+  /// change any device's credentials. Every hub shares the fleet's
+  /// `workers`-thread executor (0 = inline; hub_cfg.executor is ignored).
+  static partitioned_fleet create(
+      std::size_t n, byte_vec master_key, hub_config hub_cfg = {},
+      router_config rcfg = router_config{},
+      std::size_t workers = thread_pool::hardware_workers());
 
   /// Durable fleet: open (or initialize) dir/p<i> via fleet_store::open
   /// and persist the placement manifest. Reopening with a different
   /// partition count / vnodes / seed throws
-  /// store_error(partition_mismatch).
-  static partitioned_fleet open(const std::string& dir, std::size_t n,
-                                store::fleet_store::options opts,
-                                router_config rcfg = router_config{});
+  /// store_error(partition_mismatch). `workers` as for create().
+  static partitioned_fleet open(
+      const std::string& dir, std::size_t n,
+      store::fleet_store::options opts, router_config rcfg = router_config{},
+      std::size_t workers = thread_pool::hardware_workers());
 
   partition_router& router() { return *router_; }
+  thread_pool& executor() { return *executor_; }  ///< shared by all
   std::size_t partition_count() const { return router_->partition_count(); }
   std::size_t index_of(device_id id) const { return router_->index_of(id); }
 
@@ -165,13 +176,20 @@ class partitioned_fleet {
   /// successor.
   store::fleet_state release_partition(std::size_t i);
 
-  /// Reinstall a partition (promotion): adopts the state and swaps the
-  /// router over to its hub.
+  /// Reinstall a partition (promotion): adopts the state, points its hub
+  /// at the fleet's executor and swaps the router over to it.
   void install_partition(std::size_t i, store::fleet_state st);
 
  private:
   partitioned_fleet() = default;
+  /// create/open's shared tail: executor, partitions, router.
+  static partitioned_fleet build(
+      std::size_t n, const router_config& rcfg, std::size_t workers,
+      const std::function<store::fleet_state(std::size_t, thread_pool*)>&
+          make_partition);
 
+  /// First, so destroyed last: hubs and router point into it.
+  std::unique_ptr<thread_pool> executor_;
   std::vector<store::fleet_state> partitions_;
   std::unique_ptr<partition_router> router_;
 };

@@ -33,12 +33,6 @@ verifier_hub::verifier_hub(const device_registry& registry, hub_config cfg)
     sh->rng.seed(cfg_.seed ^ mix64(s));
     shards_.push_back(std::move(sh));
   }
-  if (!cfg_.sequential_batch) {
-    const std::size_t workers = cfg_.workers != 0
-                                    ? cfg_.workers
-                                    : thread_pool::hardware_workers();
-    pool_ = std::make_unique<thread_pool>(workers);
-  }
   if (cfg_.replay_memo_entries > 0) {
     memo_ =
         std::make_unique<verifier::replay_memo>(cfg_.replay_memo_entries);
@@ -74,6 +68,13 @@ void verifier_hub::retire(device_id id, device_state& st,
 }
 
 attest_result verifier_hub::rejected(attest_result r, device_state* st) {
+  // Journal (before the live counters move, see verify_impl) only
+  // rejections attributable to a provisioned device: garbage frames cost
+  // the attacker a decode, never a disk append. The in-memory histogram
+  // still counts them; they persist at snapshot time.
+  if (cfg_.sink != nullptr && st != nullptr) {
+    cfg_.sink->on_verdict(r.device, r.error, false);
+  }
   stats_.rejected_by_error[static_cast<std::size_t>(r.error)].fetch_add(
       1, std::memory_order_relaxed);
   if (st != nullptr) {
@@ -83,14 +84,6 @@ attest_result verifier_hub::rejected(attest_result r, device_state* st) {
     } else {
       c.rejected_protocol.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  // Journal only rejections attributable to a provisioned device: a
-  // garbage frame (bad magic, unknown id) must cost the attacker a
-  // decode, not a serialized disk append — unauthenticated traffic gets
-  // no write amplification. The in-memory histogram still counts these;
-  // they persist at snapshot time rather than per event.
-  if (cfg_.sink != nullptr && st != nullptr) {
-    cfg_.sink->on_verdict(r.device, r.error, false);
   }
   return r;
 }
@@ -356,12 +349,20 @@ attest_result verifier_hub::verify_impl(
   sp.credit(obs::stage::replay, vt.replay_ns);
   // stp stays valid unlocked: std::map nodes are address-stable and
   // device states are never erased; the counters are atomics.
+  // An accepted OR is now the proven device state: adopt it as the wire
+  // v2.1 delta baseline (accepted verdicts ONLY — a rejected report must
+  // never steer future reconstructions). Re-takes the shard lock and
+  // journals before the verdict record below.
+  if (r.verdict.accepted && cfg_.or_baselines) {
+    adopt_baseline(id, r.seq, report.or_bytes);
+  }
+  // Journal BEFORE the live counters move: online compaction snapshots
+  // max(journaled, live), so a counter bumped first would be in the
+  // snapshot AND replay again from the next WAL generation.
+  if (cfg_.sink != nullptr) {
+    cfg_.sink->on_verdict(id, proto_error::none, r.verdict.accepted);
+  }
   if (r.verdict.accepted) {
-    // This OR is now the proven device state: adopt it as the wire v2.1
-    // delta baseline (accepted verdicts ONLY — a rejected report must
-    // never steer future reconstructions). Re-takes the shard lock and
-    // journals before the verdict record below.
-    if (cfg_.or_baselines) adopt_baseline(id, r.seq, report.or_bytes);
     stats_.reports_accepted.fetch_add(1, std::memory_order_relaxed);
     stp->counters.accepted.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -369,9 +370,6 @@ attest_result verifier_hub::verify_impl(
                                               std::memory_order_relaxed);
     stp->counters.rejected_verdict.fetch_add(1,
                                              std::memory_order_relaxed);
-  }
-  if (cfg_.sink != nullptr) {
-    cfg_.sink->on_verdict(id, proto_error::none, r.verdict.accepted);
   }
   // Everything since the journal mark that was not MAC or replay work:
   // baseline adoption, counters, the verdict journal entry.
@@ -486,31 +484,16 @@ attest_result verifier_hub::submit(std::span<const std::uint8_t> frame) {
                                   /*check_seq=*/true, view, sp));
 }
 
-std::vector<attest_result> verifier_hub::verify_batch(
-    std::span<const byte_vec> frames) {
-  std::vector<attest_result> out(frames.size());
+void verifier_hub::batch_begin() {
   stats_.inflight_batches.fetch_add(1, std::memory_order_relaxed);
-  try {
-    if (pool_ == nullptr) {
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        out[i] = submit(frames[i]);
-      }
-    } else {
-      // Fan out across the pool; each worker writes only its own slot, so
-      // the results land in input order with no post-hoc reordering.
-      pool_->parallel_for(
-          frames.size(), [&](std::size_t i) { out[i] = submit(frames[i]); });
-    }
-  } catch (...) {
-    stats_.inflight_batches.fetch_sub(1, std::memory_order_relaxed);
-    throw;
-  }
+}
+
+void verifier_hub::batch_end(std::size_t frames, bool completed) {
   stats_.inflight_batches.fetch_sub(1, std::memory_order_relaxed);
+  if (!completed) return;
   stats_.verify_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.verify_batch_frames.fetch_add(frames.size(),
-                                       std::memory_order_relaxed);
-  stats_.last_batch_frames.store(frames.size(), std::memory_order_relaxed);
-  return out;
+  stats_.verify_batch_frames.fetch_add(frames, std::memory_order_relaxed);
+  stats_.last_batch_frames.store(frames, std::memory_order_relaxed);
 }
 
 void verifier_hub::restore(std::uint64_t now,

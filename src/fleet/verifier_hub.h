@@ -48,52 +48,40 @@
 // bounded per-device memory of retired nonces so a late report gets the
 // precise typed error instead of a generic rejection.
 //
-// Firmware sharing (the catalog refactor)
-// ---------------------------------------
-// The hub holds NO per-device verifier state on the hot path: each
-// registry record carries a shared immutable verifier::firmware_artifact
-// (interned by fleet::firmware_catalog, one per distinct image), and
-// verify runs straight off that artifact with the record's device key.
-// Verifier memory is O(firmwares), not O(devices), and the §III replay
-// executes on a per-thread recycled emu::machine instead of constructing
-// one per report. Only core(id) — the policy-attachment surface —
-// materializes a cheap per-device op_verifier context (shared artifact
-// pointer + key + policies).
+// Firmware sharing
+// ----------------
+// No per-device verifier state on the hot path: each registry record
+// carries a shared immutable verifier::firmware_artifact (one per image,
+// interned by fleet::firmware_catalog) that verify runs off with the
+// record's key, replaying on a per-thread recycled emu::machine. Memory
+// is O(firmwares), not O(devices). Only core(id), the policy surface,
+// materializes a per-device op_verifier (artifact + key + policies).
 //
-// Threading model
-// ---------------
-// The hub is internally sharded: per-device state (challenge table,
-// retired-nonce history, optional policy context) lives in one of
-// `hub_config::shards` shards selected by a hash of the device id, each
-// with its own mutex and its own challenge-nonce RNG stream. All public
-// entry points are safe to call concurrently from any number of threads:
+// Concurrency model
+// -----------------
+// reactor -> dispatcher -> one executor -> shard locks. The net reactor
+// frames reports; the batcher's dispatcher thread calls verify_batch as
+// the calling thread of the process's ONE dialed::thread_pool
+// (`hub_config::executor`; partitioned_fleet owns it and shares it with
+// every partition and the router), whose workers run submit() per frame.
+// Hubs own no threads. Per-device state (challenge table, retired nonces,
+// policy context) lives in one of `hub_config::shards` shards (hash of
+// the id), each with its own mutex and nonce RNG stream. Every public
+// entry point is thread-safe and takes only the owning shard's lock:
 //
-//   - `challenge` / `submit` / `verify_report` take only the owning
-//     shard's lock, so traffic for different shards never contends.
-//   - Nonce bookkeeping (match, seq check, consume) happens under the
-//     shard lock; the expensive cryptographic/replay verification runs
-//     OUTSIDE it, so one slow report does not stall its shard. The nonce
-//     is consumed before the lock is dropped — the §III one-report-per-
-//     nonce rule holds even when the same frame is submitted twice
-//     concurrently (exactly one submitter sees the nonce; the other gets
-//     replayed_report).
-//   - `verify_batch` fans the frames out over an internal worker pool
-//     (`hub_config::workers` threads; the caller participates too) and
-//     returns results in input order.
+//   - Nonce bookkeeping (match, seq check, consume) happens under it; MAC
+//     and replay run OUTSIDE it. The nonce is consumed before the lock
+//     drops, so of two concurrent submits of one frame exactly one sees
+//     the nonce (§III one report per nonce; the other: replayed_report).
 //   - `tick`/`now`/`stats` use atomics and may race freely.
-//   - `core(id)` construction is serialized by the shard lock; the
-//     returned op_verifier is verify-const and safe for concurrent
-//     `verify` calls — with one caveat: attached policies' hooks
-//     (on_write/on_finish) run during replay on whichever thread is
-//     verifying, and two reports for the SAME device may verify
-//     concurrently, so a policy that keeps internal mutable state must
-//     synchronize it itself (the built-in policies are stateless).
-//     Mutating the core (add_policy) while traffic is in flight is NOT
-//     synchronized either — attach policies before serving.
+//   - `core(id)`'s op_verifier is verify-const, but attached policies'
+//     hooks run on whichever thread verifies — possibly two reports of
+//     one device at once — so a stateful policy synchronizes itself (the
+//     built-ins are stateless). Mutating a core (add_policy) is NOT
+//     synchronized against traffic: attach policies before serving.
 //
-// The one external requirement: the device_registry must outlive the hub,
-// and concurrent `provision`/`enroll` calls are the registry's own
-// (shared_mutex) problem — records, once provisioned, are immutable.
+// The device_registry must outlive the hub; records, once provisioned,
+// are immutable (concurrent provisioning is the registry's shared_mutex).
 #ifndef DIALED_FLEET_VERIFIER_HUB_H
 #define DIALED_FLEET_VERIFIER_HUB_H
 
@@ -104,7 +92,6 @@
 #include <optional>
 #include <random>
 
-#include "common/thread_pool.h"
 #include "fleet/hub_like.h"
 #include "fleet/persist.h"
 #include "fleet/registry.h"
@@ -130,14 +117,9 @@ struct hub_config {
   /// Device-state shards (each its own lock + RNG). 0 = pick a default.
   /// 1 reproduces the old fully-serialized hub.
   std::uint32_t shards = 0;
-  /// Worker threads for verify_batch fan-out; the calling thread always
-  /// participates as one more worker. 0 = hardware concurrency - 1;
-  /// 1 worker thread still means 2-way parallelism. Use
-  /// `sequential_batch = true` for a strictly single-threaded hub.
-  std::uint32_t workers = 0;
-  /// Forces verify_batch to run inline on the calling thread (no pool is
-  /// created). The single-device v1 adapter sets this.
-  bool sequential_batch = false;
+  /// The executor verify_batch fans out on (not owned; must outlive the
+  /// hub). nullptr runs every batch inline on the calling thread.
+  thread_pool* executor = nullptr;
   /// Track per-device wire v2.1 delta baselines (the OR of the last
   /// accepted report, O(or_bytes) memory per device). Off, every v2.1
   /// frame is rejected baseline_mismatch and no baseline state is kept —
@@ -160,9 +142,6 @@ struct hub_config {
   std::size_t replay_memo_entries = 1024;
 };
 
-// challenge_grant, hub_stats, and attest_result moved to
-// fleet/hub_like.h — shared with the partition router.
-
 class verifier_hub : public hub_like {
  public:
   explicit verifier_hub(const device_registry& registry,
@@ -174,17 +153,12 @@ class verifier_hub : public hub_like {
   challenge_grant challenge(device_id id) override;
 
   /// Decode a wire frame (any supported version) and verify it. v1 frames
-  /// carry no device id and are rejected with unknown_device — route them
-  /// through a proto::verifier_session instead. v2.1 delta frames are
-  /// reconstructed against the device's or_baseline first (see the file
-  /// comment); a mismatch is the typed baseline_mismatch and leaves the
-  /// challenge outstanding. Thread-safe, reentrant: decoding uses a
-  /// thread-local scratch frame, so concurrent submits never share a
-  /// buffer. Zero-copy: full frames are decoded in borrow mode — the OR
-  /// is verified straight out of `frame` (never copied unless the verdict
-  /// is accepted and the bytes become the delta baseline); delta frames
-  /// reconstruct into the thread-local scratch arena. Either way `frame`
-  /// is not read after submit returns.
+  /// carry no device id: unknown_device (use proto::verifier_session).
+  /// v2.1 deltas are rebuilt against the device's or_baseline first (see
+  /// the file comment). Thread-safe, reentrant (thread-local decode
+  /// scratch). Zero-copy: a full frame's OR is verified in place (copied
+  /// only when accepted, as the delta baseline); `frame` is not read
+  /// after submit returns.
   attest_result submit(std::span<const std::uint8_t> frame) override;
 
   /// Verify an already-decoded report for a device, requiring the frame's
@@ -197,12 +171,6 @@ class verifier_hub : public hub_like {
   /// check must be a caller decision, never an in-band wire value.
   attest_result verify_report(device_id id,
                               const verifier::attestation_report& report);
-
-  /// Verify a batch of independent frames in parallel on the hub's worker
-  /// pool (per-shard locking; crypto/replay outside the locks). Results
-  /// are returned in input order regardless of completion order.
-  std::vector<attest_result> verify_batch(
-      std::span<const byte_vec> frames) override;
 
   /// Advance the monotonic clock; challenges older than cfg.challenge_ttl
   /// ticks are retired as expired. Thread-safe. Journaled (concurrent
@@ -230,10 +198,9 @@ class verifier_hub : public hub_like {
   /// retired history by a challenge/verify on that device).
   std::size_t outstanding(device_id id) const override;
 
-  /// Worker threads backing verify_batch (0 = inline/sequential).
-  std::size_t batch_workers() const override {
-    return pool_ ? pool_->workers() : 0;
-  }
+  /// Re-point verify_batch (a promoted standby joining a fleet's
+  /// executor). Call before the hub serves traffic.
+  void set_executor(thread_pool* executor) { cfg_.executor = executor; }
 
   /// Snapshot of the hub's monotonic counters. Thread-safe; the hub-level
   /// fields are lock-free, the per-device breakdown briefly takes each
@@ -266,6 +233,12 @@ class verifier_hub : public hub_like {
   /// taken one at a time; concurrent traffic lands in the WAL instead —
   /// see fleet_store::compact's quiescence contract).
   std::vector<device_restore> dump_devices() const;
+
+  thread_pool* executor() const override { return cfg_.executor; }
+
+ protected:
+  void batch_begin() override;
+  void batch_end(std::size_t frames, bool completed) override;
 
  private:
   struct challenge_entry {
@@ -394,7 +367,6 @@ class verifier_hub : public hub_like {
   hub_config cfg_;
   std::atomic<std::uint64_t> now_{0};
   std::vector<std::unique_ptr<shard>> shards_;
-  std::unique_ptr<thread_pool> pool_;  ///< null when sequential_batch
   mutable counters stats_;
   obs::pipeline_obs obs_;
   /// Shared replay-result cache (null when cfg.replay_memo_entries == 0);

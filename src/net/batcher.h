@@ -18,10 +18,10 @@
 //
 // Threading: enqueue/maybe_flush/timeout_ms/drain_completions are
 // reactor-thread-only. One internal dispatcher thread pulls flushed
-// batches and runs hub.verify_batch (which fans out over the hub's own
-// worker pool); finished results come back through drain_completions
-// after the dispatcher wake()s the reactor. The reactor never blocks on
-// verification — that is the point.
+// batches and runs hub.verify_batch as the calling thread of the
+// process's one executor; finished results come back through
+// drain_completions after the dispatcher wake()s the reactor. The
+// reactor never blocks on verification — that is the point.
 #ifndef DIALED_NET_BATCHER_H
 #define DIALED_NET_BATCHER_H
 

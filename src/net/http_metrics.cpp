@@ -153,6 +153,15 @@ std::string render_metrics_body(
          "{direction=\"in\"}");
   sample(out, "dialed_net_bytes_total", net.bytes_out,
          "{direction=\"out\"}");
+  family(out, "dialed_executor_workers", "gauge",
+         "Threads of the process-wide verify executor (0 = inline).");
+  sample(out, "dialed_executor_workers", net.executor.workers);
+  family(out, "dialed_executor_busy_workers", "gauge",
+         "Executor threads draining a verify batch right now.");
+  sample(out, "dialed_executor_busy_workers", net.executor.busy_workers);
+  family(out, "dialed_executor_queue_depth", "gauge",
+         "Frames of the in-flight executor batch not yet claimed.");
+  sample(out, "dialed_executor_queue_depth", net.executor.queue_depth);
   family(out, "dialed_net_ingest_backlog", "gauge",
          "Frames accepted but not yet verified.");
   sample(out, "dialed_net_ingest_backlog", net.batching.backlog);

@@ -61,6 +61,8 @@ struct server_stats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   batcher::stats batching;
+  /// The verify executor behind the hub (hub_like::executor).
+  executor_load executor;
 };
 
 /// One partition's slice of the /healthz body (and the 503 decision).

@@ -141,6 +141,7 @@ server_stats attest_server::stats() const {
   s.bytes_in = bytes_in_.load(relaxed);
   s.bytes_out = bytes_out_.load(relaxed);
   s.batching = batcher_.snapshot();
+  if (const auto* ex = hub_.executor()) s.executor = ex->load();
   return s;
 }
 

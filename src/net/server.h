@@ -8,7 +8,7 @@
 //   * a UDP socket for connectionless fire-and-forget report ingest
 //     (one raw wire frame per datagram, no response);
 //   * the batcher's completion queue (verification happens on the
-//     batcher's dispatcher thread + the hub's worker pool — the reactor
+//     batcher's dispatcher thread + the shared executor — the reactor
 //     never blocks on crypto).
 //
 // Backpressure, two levels:

@@ -8,10 +8,9 @@ fleet::hub_config single_device_config(std::uint64_t seed) {
   fleet::hub_config cfg;
   cfg.max_outstanding = 1;  // v1 semantics: a new challenge evicts the old
   cfg.seed = seed;
-  // One device needs one lock domain and no worker pool: the adapter is a
-  // single-threaded v1 surface, so don't pay hub threads per session.
+  // One device needs one lock domain and no executor: the adapter is a
+  // single-threaded v1 surface, so its batches run inline.
   cfg.shards = 1;
-  cfg.sequential_batch = true;
   return cfg;
 }
 

@@ -98,7 +98,7 @@ class fleet_store final : public fleet::persist_sink {
     /// must MATCH the persisted one (store_error(master_key_mismatch)
     /// otherwise — silently proceeding would derive wrong device keys).
     byte_vec master_key;
-    /// Configuration for the reopened hub (shards, TTL, workers...).
+    /// Configuration for the reopened hub (shards, TTL, executor...).
     /// The store installs itself as cfg.sink.
     fleet::hub_config hub{};
     /// WAL durability policy (see the sync policy matrix in

@@ -39,7 +39,7 @@ constexpr std::uint64_t max_replay_instructions = 20'000'000;
 // ---------------------------------------------------------------------------
 // Per-thread reusable replay machine. Constructing an emu::machine per
 // report (64 KiB bus + peripherals on the heap) was a fixed cost on every
-// verify; instead each thread — including the hub's verify_batch pool
+// verify; instead each thread — including the shared executor's
 // workers — keeps ONE machine and recycles it (memory zeroed, CPU/halt
 // cleared: exactly the just-constructed state) between replays. The slot
 // is re-keyed when a firmware with a different memory map comes through,

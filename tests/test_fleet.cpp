@@ -414,6 +414,7 @@ TEST(hub_concurrency, hammered_challenge_submit_never_loses_or_dupes_nonces) {
 
   constexpr int threads = 8;
   constexpr int iterations = 40;
+  thread_pool executor(2);
   hub_config cfg;
   cfg.max_outstanding = threads * 2;  // headroom: no supersede noise
   // The duplicate-submit check below needs the consumed nonce still in the
@@ -421,7 +422,7 @@ TEST(hub_concurrency, hammered_challenge_submit_never_loses_or_dupes_nonces) {
   // can retire up to 7 * iterations entries on the same device, so the
   // window must exceed threads * iterations to be schedule-proof.
   cfg.retired_memory = threads * iterations * 2;
-  cfg.workers = 2;
+  cfg.executor = &executor;
   verifier_hub hub(reg, cfg);
 
   // Every thread hits EVERY device each iteration — maximal overlap on the
@@ -480,7 +481,6 @@ TEST(hub, delta_fallback_negotiation_keeps_the_nonce_alive) {
   const auto prog = adder_prog();
   const auto id = reg.provision(prog);
   hub_config cfg;
-  cfg.sequential_batch = true;
   verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
   proto::delta_emitter emitter;
@@ -531,7 +531,6 @@ TEST(hub, adopted_baseline_survives_frame_buffer_reuse) {
   const auto prog = adder_prog();
   const auto id = reg.provision(prog);
   hub_config cfg;
-  cfg.sequential_batch = true;
   verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
 
@@ -563,7 +562,6 @@ TEST(hub, baselines_can_be_disabled_per_hub) {
   const auto prog = adder_prog();
   const auto id = reg.provision(prog);
   hub_config cfg;
-  cfg.sequential_batch = true;
   cfg.or_baselines = false;
   verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
@@ -599,10 +597,11 @@ TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   constexpr int threads = 8;
   constexpr int rounds_per_thread = 8;
   constexpr int total_rounds = threads * rounds_per_thread;
+  thread_pool executor(2);
   hub_config cfg;
   cfg.max_outstanding = total_rounds;
   cfg.retired_memory = total_rounds * 2;
-  cfg.workers = 2;
+  cfg.executor = &executor;
   verifier_hub hub(reg, cfg);
 
   // Pre-phase (single-threaded: the prover device is not): one grant and
@@ -727,9 +726,10 @@ TEST(hub_concurrency, parallel_batch_results_are_order_stable) {
   std::vector<device_id> ids;
   for (int d = 0; d < 4; ++d) ids.push_back(reg.provision(prog));
 
+  thread_pool executor(4);
   hub_config cfg;
   cfg.max_outstanding = 64;
-  cfg.workers = 4;
+  cfg.executor = &executor;
   verifier_hub hub(reg, cfg);
 
   // 4 devices x 32 rounds, interleaved round-robin so adjacent batch
@@ -768,10 +768,10 @@ TEST(hub_concurrency, parallel_batch_verdicts_match_sequential_hub) {
   const auto prog = adder_prog();
   const auto id1 = reg.provision(prog);
   const auto id2 = reg.provision(prog);
+  thread_pool executor(4);
   hub_config seq_cfg;
-  seq_cfg.sequential_batch = true;
   hub_config par_cfg;
-  par_cfg.workers = 4;
+  par_cfg.executor = &executor;
   verifier_hub seq_hub(reg, seq_cfg);
   verifier_hub par_hub(reg, par_cfg);
   proto::prover_device dev1(prog, reg.derive_key(id1));
@@ -842,9 +842,10 @@ TEST(hub_concurrency, many_devices_one_firmware_verify_in_parallel) {
     ASSERT_EQ(reg.find(id)->firmware.get(), shared_fw);
   }
 
+  thread_pool executor(4);
   hub_config cfg;
   cfg.max_outstanding = 8;
-  cfg.workers = 4;
+  cfg.executor = &executor;
   verifier_hub hub(reg, cfg);
 
   // Real (cryptographically valid) frames: the parallel workers all run

@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "apps/apps.h"
+#include "fleet/partition.h"
 #include "helpers.h"
 #include "net/client.h"
 #include "net/framer.h"
@@ -258,10 +259,10 @@ TEST(net_http, incomplete_and_oversized) {
 
 /// Registry + hub + running attest_server on ephemeral loopback ports.
 struct harness {
-  explicit harness(server_config cfg = {}, std::uint32_t hub_workers = 1)
-      : registry(master_key()) {
+  explicit harness(server_config cfg = {}, std::size_t executor_workers = 1)
+      : executor(executor_workers), registry(master_key()) {
     fleet::hub_config hc;
-    hc.workers = hub_workers;
+    hc.executor = &executor;
     hc.max_outstanding = 256;
     hub.emplace(registry, hc);
     cfg.bind_addr = "127.0.0.1";
@@ -281,6 +282,7 @@ struct harness {
   byte_vec key(fleet::device_id id) { return registry.find(id)->key; }
   std::uint16_t port() const { return server->tcp_port(); }
 
+  thread_pool executor;  ///< declared first: outlives hub and server
   fleet::device_registry registry;
   std::optional<fleet::verifier_hub> hub;
   std::optional<attest_server> server;
@@ -678,9 +680,10 @@ TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
   const auto prog = adder_prog();
   byte_vec frame;
   {
+    thread_pool executor(1);
     store::fleet_store::options so;
     so.master_key = master_key();
-    so.hub.workers = 1;
+    so.hub.executor = &executor;
     auto state = store::fleet_store::open(dir.string(), so);
     const auto id = state.registry->provision(prog);
     proto::prover_device dev(prog, state.registry->find(id)->key);
@@ -706,9 +709,10 @@ TEST(net_serve, restart_from_state_dir_rejects_pre_crash_replay) {
     // disk; nothing depends on a clean shutdown path).
   }
   {
+    thread_pool executor(1);
     store::fleet_store::options so;
     so.master_key = master_key();
-    so.hub.workers = 1;
+    so.hub.executor = &executor;
     auto state = store::fleet_store::open(dir.string(), so);
     server_config cfg;
     cfg.bind_addr = "127.0.0.1";
@@ -897,6 +901,15 @@ std::uint64_t metric_value(const std::string& body,
   return std::stoull(body.substr(sp + 1, eol - sp - 1));
 }
 
+/// Value of the unlabeled sample `name value` (past its HELP/TYPE lines).
+std::uint64_t unlabeled_value(const std::string& body,
+                              const std::string& name) {
+  const auto pos = body.find("\n" + name + " ");
+  EXPECT_NE(pos, std::string::npos) << name;
+  if (pos == std::string::npos) return 0;
+  return metric_value(body.substr(pos + 1), name + " ");
+}
+
 TEST(net_serve, stage_histograms_and_build_info_in_metrics) {
   harness h;
   const auto prog = adder_prog();
@@ -934,6 +947,13 @@ TEST(net_serve, stage_histograms_and_build_info_in_metrics) {
   EXPECT_NE(metrics.find("dialed_build_info{version=\""),
             std::string::npos);
   EXPECT_NE(metrics.find("sha256_backend=\""), std::string::npos);
+  // Executor saturation: the harness's one-thread executor, idle between
+  // batches.
+  EXPECT_NE(metrics.find("# TYPE dialed_executor_queue_depth gauge"),
+            std::string::npos);
+  EXPECT_EQ(unlabeled_value(metrics, "dialed_executor_workers"), 1u);
+  EXPECT_LE(unlabeled_value(metrics, "dialed_executor_busy_workers"), 1u);
+  EXPECT_EQ(unlabeled_value(metrics, "dialed_executor_queue_depth"), 0u);
 }
 
 TEST(net_serve, debug_traces_endpoint_reports_rejections) {
@@ -1007,9 +1027,10 @@ TEST(net_serve, healthz_standby_depth_and_desync_503) {
   fs::remove_all(dir);
   const auto prog = adder_prog();
 
+  thread_pool executor(1);
   store::fleet_store::options so;
   so.master_key = master_key();
-  so.hub.workers = 1;
+  so.hub.executor = &executor;
   auto state = store::fleet_store::open((dir / "primary").string(), so);
   const auto id = state.registry->provision(prog);
   proto::prover_device dev(prog, state.registry->find(id)->key);
@@ -1081,7 +1102,7 @@ void expect_prometheus_parses(const std::string& response) {
 // histogram totals never move backwards. This is a TSan target — it
 // pits the reactor's scrape path against the hub's recording path.
 TEST(net_serve, concurrent_scrape_under_traffic) {
-  harness h(server_config{}, /*hub_workers=*/2);
+  harness h(server_config{}, /*executor_workers=*/2);
   const auto prog = adder_prog();
   const auto id = h.provision(prog);
   proto::prover_device dev(prog, h.key(id));
@@ -1113,12 +1134,46 @@ TEST(net_serve, concurrent_scrape_under_traffic) {
     }
     EXPECT_GE(total, last_total);
     last_total = total;
+    // Saturation gauges stay within the executor's bounds mid-traffic.
+    EXPECT_EQ(unlabeled_value(metrics, "dialed_executor_workers"), 2u);
+    EXPECT_LE(unlabeled_value(metrics, "dialed_executor_busy_workers"), 2u);
+    (void)unlabeled_value(metrics, "dialed_executor_queue_depth");
     const auto traces = http_get("127.0.0.1", h.port(), "/debug/traces");
     EXPECT_NE(traces.find("\"slowest_ns\":"), std::string::npos);
   }
   stop.store(true, std::memory_order_relaxed);
   traffic.join();
   EXPECT_GT(last_total, 0u);
+}
+
+TEST(net_serve, partitioned_service_exports_its_one_executor) {
+  // Four partitions behind the router share one 2-thread executor: the
+  // scrape reports it once (2 workers, not 4 x 2).
+  auto fleet = fleet::partitioned_fleet::create(
+      4, master_key(), {}, fleet::router_config{}, /*workers=*/2);
+  const auto prog = adder_prog();
+  const fleet::device_id id = 7;
+  const auto p = fleet.provision(id, prog);
+  proto::prover_device dev(prog, fleet.registry_of(p).find(id)->key);
+  server_config cfg;
+  cfg.bind_addr = "127.0.0.1";
+  attest_server server(fleet.router(), cfg);
+  server.start();
+
+  attest_client client("127.0.0.1", server.tcp_port());
+  const auto grant = client.get_challenge(id);
+  const auto rep = dev.invoke(grant.nonce, args(3, 4));
+  ASSERT_TRUE(client.submit_report(full_frame(id, grant.seq, rep)).accepted);
+
+  const auto metrics = http_get("127.0.0.1", server.tcp_port(), "/metrics");
+  expect_prometheus_parses(metrics);
+  EXPECT_EQ(unlabeled_value(metrics, "dialed_executor_workers"), 2u);
+  EXPECT_LE(unlabeled_value(metrics, "dialed_executor_busy_workers"), 2u);
+  EXPECT_EQ(unlabeled_value(metrics, "dialed_executor_queue_depth"), 0u);
+  // The owning partition still counts its share of the router's batch.
+  EXPECT_EQ(unlabeled_value(metrics, "dialed_hub_verify_batch_frames_total"),
+            1u);
+  server.stop();
 }
 
 }  // namespace

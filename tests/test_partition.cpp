@@ -94,7 +94,6 @@ class partition_test : public ::testing::Test {
   store::fleet_store::options opts() const {
     store::fleet_store::options o;
     o.master_key = master_key();
-    o.hub.sequential_batch = true;  // single-threaded unless hammering
     return o;
   }
 
@@ -255,6 +254,101 @@ TEST(partition_router, batch_scatter_preserves_input_order) {
 
   const auto total = fleet.router().stats();
   EXPECT_EQ(total.reports_accepted, 12u);
+  // The router brackets each partition's share of the batch: every
+  // partition saw one batch of its own frames (partition 0 also owns the
+  // unsniffable one), and none is left in flight.
+  for (std::size_t p = 0; p < ids.size(); ++p) {
+    const auto s = fleet.hub_of(p).stats();
+    const std::uint64_t share = p == 0 ? 4 : 3;
+    EXPECT_EQ(s.verify_batches, 1u) << "partition " << p;
+    EXPECT_EQ(s.verify_batch_frames, share) << "partition " << p;
+    EXPECT_EQ(s.last_batch_frames, share) << "partition " << p;
+    EXPECT_EQ(s.inflight_batches, 0u) << "partition " << p;
+  }
+  EXPECT_EQ(total.verify_batch_frames, frames.size());
+}
+
+/// Journals nothing; throws store_error on its `fail_at`-th on_retire
+/// (1-based) — a disk that fills up in the middle of a batch.
+struct failing_sink final : persist_sink {
+  explicit failing_sink(std::size_t n) : fail_at(n) {}
+  void on_provision(const device_record&) override {}
+  void on_challenge(device_id, std::uint32_t, const nonce16&,
+                    std::uint64_t) override {}
+  void on_retire(device_id, const nonce16&, nonce_fate) override {
+    if (retires.fetch_add(1) + 1 == fail_at) {
+      throw store_error(store_error_kind::io_error, "injected: disk full");
+    }
+  }
+  void on_verdict(device_id, proto::proto_error, bool) override {}
+  void on_baseline(device_id, std::uint32_t,
+                   std::span<const std::uint8_t>) override {}
+  void on_tick(std::uint64_t) override {}
+
+  const std::size_t fail_at;
+  std::atomic<std::size_t> retires{0};
+};
+
+TEST(partition_router, partition_exception_reaches_caller_after_drain) {
+  // Two partitions on one shared executor; partition 1's journal fails
+  // on its 3rd retirement in the middle of a batch spanning both. The
+  // failure must surface to the caller as the typed store_error — not
+  // kill the process — after every other frame has still run, and the
+  // executor must serve the next batch.
+  constexpr std::size_t per_partition = 4;
+  thread_pool executor(3);
+  failing_sink sink(3);
+  device_registry reg0(master_key()), reg1(master_key());
+  hub_config cfg;
+  cfg.executor = &executor;
+  verifier_hub hub0(reg0, cfg);
+  cfg.sink = &sink;
+  verifier_hub hub1(reg1, cfg);
+  partition_router router({&hub0, &hub1}, router_config{}, &executor);
+  device_registry* regs[] = {&reg0, &reg1};
+
+  // per_partition devices on each partition.
+  std::vector<device_id> ids;
+  std::size_t owned[2] = {0, 0};
+  const auto prog = prog_for(adder);
+  for (device_id id = 1; ids.size() < 2 * per_partition; ++id) {
+    const std::size_t p = router.index_of(id);
+    if (owned[p] == per_partition) continue;
+    ++owned[p];
+    regs[p]->provision(id, prog);
+    ids.push_back(id);
+  }
+  const auto batch = [&] {
+    std::vector<byte_vec> frames;
+    for (const auto id : ids) {
+      const auto* rec = regs[router.index_of(id)]->find(id);
+      proto::prover_device dev(*rec->program, rec->key);
+      const auto g = router.challenge(id);
+      EXPECT_TRUE(g.ok());
+      frames.push_back(frame_for(id, g, dev.invoke(g.nonce, args(2, 3))));
+    }
+    return frames;
+  };
+
+  EXPECT_THROW((void)router.verify_batch(batch()), store_error);
+  // Every index ran: all of partition 0's frames verified, and every one
+  // of partition 1's reached its journal; only the frame whose
+  // retirement threw went unverified.
+  EXPECT_EQ(hub0.stats().reports_accepted, per_partition);
+  EXPECT_EQ(sink.retires.load(), per_partition);
+  EXPECT_EQ(hub1.stats().reports_accepted, per_partition - 1);
+  // A thrown batch leaves no batch in flight and counts as none.
+  for (const auto* hub : {&hub0, &hub1}) {
+    EXPECT_EQ(hub->stats().inflight_batches, 0u);
+    EXPECT_EQ(hub->stats().verify_batches, 0u);
+  }
+
+  // The same executor serves the next batch: everything verifies.
+  const auto results = router.verify_batch(batch());
+  ASSERT_EQ(results.size(), ids.size());
+  for (const auto& r : results) EXPECT_TRUE(r.accepted());
+  EXPECT_EQ(hub0.stats().verify_batches, 1u);
+  EXPECT_EQ(hub1.stats().verify_batches, 1u);
 }
 
 TEST(partition_router, tick_fans_out_one_logical_clock) {
@@ -264,6 +358,37 @@ TEST(partition_router, tick_fans_out_one_logical_clock) {
   for (std::size_t p = 0; p < 3; ++p) {
     EXPECT_EQ(fleet.hub_of(p).now(), 5u);
   }
+}
+
+/// The process's OS thread count (Linux: /proc/self/status).
+std::size_t process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST_F(partition_test, one_executor_whatever_the_partition_count) {
+  // The fleet's batches run on ONE executor sized at open: its worker
+  // count is what the router reports, and adding partitions adds no
+  // threads (no per-hub pools).
+  constexpr std::size_t workers = 3;
+  const std::size_t before = process_threads();
+  auto four = partitioned_fleet::open(sub("four"), 4, opts(), {}, workers);
+  EXPECT_EQ(process_threads() - before, workers);
+  EXPECT_EQ(four.router().batch_workers(), workers);
+  EXPECT_EQ(four.executor().workers(), workers);
+  for (std::size_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(four.hub_of(p).batch_workers(), workers) << "partition " << p;
+  }
+  // Reported once, not summed over partitions.
+  EXPECT_EQ(four.router().executor()->load().workers, workers);
+
+  auto one = partitioned_fleet::open(sub("one"), 1, opts(), {}, workers);
+  EXPECT_EQ(process_threads() - before, 2 * workers);
+  EXPECT_EQ(one.router().batch_workers(), four.router().batch_workers());
 }
 
 // ---------------------------------------------------------------------------
@@ -533,6 +658,9 @@ TEST_F(partition_test, promotion_mid_campaign_rejects_pre_crash_replays) {
   // floor) and promote the standby into its slot.
   { auto dead = fleet.release_partition(victim); }
   fleet.install_partition(victim, follower.promote(opts()));
+  // The promoted hub joins the fleet's shared executor.
+  EXPECT_EQ(fleet.hub_of(victim).batch_workers(),
+            fleet.executor().workers());
 
   // THE property, across the router: every report the dead partition
   // accepted is a replay at its successor.

@@ -175,7 +175,6 @@ TEST(dispatch, hub_legacy_vs_fast_over_fuzz_corpus) {
   const auto id = reg.provision(prog);
 
   fleet::hub_config cfg;
-  cfg.sequential_batch = true;
   verifier_hub hub_fast(reg, cfg);
   verifier_hub hub_legacy(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));
@@ -298,7 +297,6 @@ TEST(memo, hub_exposes_counters_and_policies_bypass) {
                              "op", instr::instrumentation::dialed);
   const auto id = reg.provision(prog);
   fleet::hub_config cfg;
-  cfg.sequential_batch = true;
   cfg.replay_memo_entries = 64;
   verifier_hub hub(reg, cfg);
   proto::prover_device dev(prog, reg.derive_key(id));

@@ -65,8 +65,7 @@ class store_test : public ::testing::Test {
 
   fleet_store::options opts() const {
     fleet_store::options o;
-    o.master_key = master_key();
-    o.hub.sequential_batch = true;  // single-threaded tests
+    o.master_key = master_key();  // no executor: single-threaded tests
     return o;
   }
 
@@ -797,9 +796,9 @@ TEST_F(store_test, concurrent_traffic_journals_consistently) {
   // Four devices hammered from four threads, every event journaled
   // through the store's shared appender (shard locks + registry lock all
   // feeding one WAL). The reopened hub must agree with the live one.
+  thread_pool executor(2);
   auto o = opts();
-  o.hub.sequential_batch = false;
-  o.hub.workers = 2;
+  o.hub.executor = &executor;
   o.hub.max_outstanding = 64;
   constexpr int kthreads = 4;
   constexpr int kiters = 6;
@@ -1093,9 +1092,9 @@ TEST_F(store_test, group_commit_concurrent_hub_traffic) {
   // The store-level hammer: concurrent verifier traffic over a
   // group-commit WAL. Each submit crosses the sync_barrier, so
   // concurrent rounds' retire records fold into shared fsyncs.
+  thread_pool executor(2);
   auto o = opts();
-  o.hub.sequential_batch = false;
-  o.hub.workers = 2;
+  o.hub.executor = &executor;
   o.hub.max_outstanding = 64;
   o.wal.sync = wal_sync::group;
   constexpr int kthreads = 4;

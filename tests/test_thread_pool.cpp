@@ -1,10 +1,13 @@
-// The common worker pool behind fleet::verifier_hub::verify_batch:
-// completion of every index, result slot isolation, exception transport,
-// reuse across batches and the 0-worker inline degradation.
+// The process-wide executor behind every verify_batch: completion of
+// every index, result slot isolation, exception transport, reuse across
+// batches, the 0-worker inline degradation, reentrancy (nested and
+// concurrent callers drain inline) and the saturation gauges.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -105,6 +108,88 @@ TEST(thread_pool, concurrent_parallel_for_callers_are_serialized) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(total.load(), 4u * 20u * 64u);
+}
+
+TEST(thread_pool, nested_parallel_for_drains_inline_on_its_caller) {
+  // A body that fans out again on the same pool (which is busy with the
+  // outer batch) must not wait for itself: the inner batch runs inline
+  // on the thread that asked for it.
+  thread_pool pool(3);
+  constexpr std::size_t outer = 16;
+  constexpr std::size_t inner = 32;
+  std::vector<std::atomic<int>> hits(outer * inner);
+  std::atomic<int> off_thread{0};
+  pool.parallel_for(outer, [&](std::size_t i) {
+    const auto me = std::this_thread::get_id();
+    pool.parallel_for(inner, [&](std::size_t j) {
+      if (std::this_thread::get_id() != me) ++off_thread;
+      hits[i * inner + j].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    ASSERT_EQ(hits[k].load(), 1) << "index " << k;
+  }
+  EXPECT_EQ(off_thread.load(), 0);
+
+  // A nested failure travels out through both levels.
+  EXPECT_THROW(pool.parallel_for(4,
+                                 [&](std::size_t) {
+                                   pool.parallel_for(4, [](std::size_t j) {
+                                     if (j == 2) throw error("inner");
+                                   });
+                                 }),
+               error);
+  std::atomic<int> ok{0};
+  pool.parallel_for(8, [&](std::size_t) { ++ok; });
+  EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(thread_pool, busy_pool_lets_other_callers_drain_inline) {
+  // One caller parks the pool inside its batch; other callers must
+  // finish their own batches on their own threads meanwhile instead of
+  // queueing behind it. The parked batch also pins the gauges: both
+  // workers busy, and of its 4 indices 3 are claimed (one per thread),
+  // so 1 is still queued.
+  thread_pool pool(2);
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    pool.parallel_for(4, [&](std::size_t) {
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  executor_load l = pool.load();
+  while ((l.busy_workers != 2 || l.queue_depth != 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    l = pool.load();
+  }
+  EXPECT_EQ(l.workers, 2u);
+  EXPECT_EQ(l.busy_workers, 2u);
+  EXPECT_EQ(l.queue_depth, 1u);
+
+  std::atomic<std::size_t> total{0};
+  std::atomic<int> off_thread{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&] {
+      const auto me = std::this_thread::get_id();
+      pool.parallel_for(64, [&](std::size_t) {
+        if (std::this_thread::get_id() != me) ++off_thread;
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(total.load(), 3u * 64u);
+  EXPECT_EQ(off_thread.load(), 0);
+
+  release.store(true);
+  owner.join();
+  l = pool.load();
+  EXPECT_EQ(l.busy_workers, 0u);
+  EXPECT_EQ(l.queue_depth, 0u);
 }
 
 }  // namespace

@@ -506,7 +506,6 @@ TEST(wire_fuzz, hub_never_accepts_a_frame_with_a_wrong_or) {
   fleet::device_registry reg(byte_vec(32, 0x42));
   const auto id = reg.provision(prog);
   fleet::hub_config cfg;
-  cfg.sequential_batch = true;
   cfg.shards = 1;
   cfg.max_outstanding = 4;
   fleet::verifier_hub hub(reg, cfg);
@@ -689,7 +688,6 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
   {
     store::fleet_store::options o;
     o.master_key = byte_vec(32, 0x42);
-    o.hub.sequential_batch = true;
     o.hub.shards = 1;
     o.compact_on_open = false;
     auto st = store::fleet_store::open(pristine.string(), o);
@@ -758,7 +756,6 @@ TEST(wire_fuzz, mutated_store_dirs_load_exactly_or_fail_closed) {
 
     store::fleet_store::options o;
     o.master_key = byte_vec(32, 0x42);
-    o.hub.sequential_batch = true;
     o.hub.shards = 1;
     o.compact_on_open = false;
     try {

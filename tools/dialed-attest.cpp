@@ -11,10 +11,10 @@
 //                 [--connect HOST:PORT [--timeout-ms MS] [--scrape]]
 //
 // --repeat K runs K attested invocations (K challenges outstanding at
-// once, K wire frames) and verifies them as one batch; --workers N fans
-// the batch out over N hub worker threads (default 0 = strictly
-// sequential) — the shared-firmware-artifact batch path, exercisable from
-// the command line.
+// once, K wire frames) and verifies them as one batch; --workers N sizes
+// the process's one verify executor, N threads plus the caller (default
+// 0 = no executor, strictly sequential) — the shared-firmware-artifact
+// batch path, exercisable from the command line.
 //
 // --delta switches the transport to the wire v2.1 polling loop: rounds
 // run strictly sequentially through a proto::delta_emitter, so every
@@ -99,7 +99,9 @@ void usage() {
                "[--adc s,s,...] [--repeat K] [--workers N] [--delta] "
                "[--state-dir DIR] [--stats-json PATH] "
                "[--connect HOST:PORT] [--timeout-ms MS] [--scrape] "
-               "[--hex-frame] [--trace]\n");
+               "[--hex-frame] [--trace]\n"
+               "  --workers N  threads of the process's one verify "
+               "executor for --repeat batches (0 = sequential)\n");
 }
 
 /// "HOST:PORT" for --connect. Throws dialed::error on anything else.
@@ -364,13 +366,13 @@ int main(int argc, char** argv) {
 
     fleet::hub_config hub_cfg;
     hub_cfg.max_outstanding = repeat;  // all K challenges live at once
+    // The process's one executor; none at all (inline batches) for a
+    // plain sequential CLI invocation.
+    std::optional<thread_pool> executor;
     if (workers == 0) {
-      // Strictly sequential: no point spinning up the hub's batch worker
-      // pool for a plain CLI invocation.
       hub_cfg.shards = 1;
-      hub_cfg.sequential_batch = true;
     } else {
-      hub_cfg.workers = workers;
+      hub_cfg.executor = &executor.emplace(workers);
     }
 
     // Fleet-side provisioning: the hub holds only the master key; the

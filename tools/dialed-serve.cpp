@@ -29,6 +29,11 @@
 // different N). The wire protocol is unchanged — clients cannot tell a
 // partitioned service from a single hub.
 //
+// --workers N sizes the ONE process-wide executor every partition's
+// verify batches run on (default 0 = hardware concurrency - 1; the
+// batcher's dispatcher thread joins each batch as one more worker). It
+// is not per partition: N partitions share the same N workers.
+//
 // Prints "listening: tcp=PORT udp=PORT" once serving (PORT resolves
 // --port 0 to the kernel's pick, for scripts and tests). SIGINT/SIGTERM
 // shut down cleanly: the handler only calls the async-signal-safe
@@ -90,7 +95,9 @@ void usage() {
       "[--max-outstanding N] [--max-pending N] [--idle-timeout-ms MS] "
       "[--state-dir DIR] [--standby-dir DIR] [--partitions N] "
       "[--wal-sync per_record|group|none] "
-      "[--log-level trace|debug|info|warn|error|off] [--log-json]\n");
+      "[--log-level trace|debug|info|warn|error|off] [--log-json]\n"
+      "  --workers N  threads of the one process-wide verify executor, "
+      "shared by all partitions (0 = hardware concurrency - 1)\n");
 }
 
 }  // namespace
@@ -214,20 +221,23 @@ int main(int argc, char** argv) {
 
     fleet::hub_config hub_cfg;
     hub_cfg.max_outstanding = max_outstanding;
-    hub_cfg.workers = workers;
+    const std::size_t executor_workers =
+        workers != 0 ? workers : thread_pool::hardware_workers();
 
     const byte_vec demo_master_key(32, 0xAB);
     fleet::partitioned_fleet fleet_parts =
         state_dir.empty()
-            ? fleet::partitioned_fleet::create(partitions,
-                                               demo_master_key, hub_cfg)
+            ? fleet::partitioned_fleet::create(
+                  partitions, demo_master_key, hub_cfg,
+                  fleet::router_config{}, executor_workers)
             : [&] {
                 store::fleet_store::options so;
                 so.master_key = demo_master_key;
                 so.hub = hub_cfg;
                 so.wal = wal_opts;
                 return fleet::partitioned_fleet::open(
-                    state_dir, partitions, std::move(so));
+                    state_dir, partitions, std::move(so),
+                    fleet::router_config{}, executor_workers);
               }();
 
     const auto fw_id = verifier::firmware_artifact::fingerprint(prog);
