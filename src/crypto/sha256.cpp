@@ -15,19 +15,6 @@ namespace dialed::crypto {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> k = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
 constexpr std::uint32_t big_sigma0(std::uint32_t x) {
   return std::rotr(x, 2) ^ std::rotr(x, 13) ^ std::rotr(x, 22);
 }
@@ -54,78 +41,41 @@ std::atomic<compress_fn> g_compress{nullptr};
 std::atomic<sha256_backend> g_backend{sha256_backend::scalar};
 
 #if DIALED_SHA256_HAVE_X86
-struct cpu_features {
-  bool avx2 = false;
-  bool shani = false;
-};
-
-cpu_features probe_cpu() {
-  cpu_features out;
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return out;
-  const bool ssse3 = (ecx & (1u << 9)) != 0;
-  const bool sse41 = (ecx & (1u << 19)) != 0;
-  const bool osxsave = (ecx & (1u << 27)) != 0;
-  // AVX2 needs the OS to context-switch YMM state (XCR0 bits 1:2).
-  bool ymm_ok = false;
-  if (osxsave) {
-    std::uint32_t xcr0_lo = 0, xcr0_hi = 0;
-    __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-    ymm_ok = (xcr0_lo & 0x6u) == 0x6u;
-  }
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return out;
-  out.avx2 = ymm_ok && (ebx & (1u << 5)) != 0;
-  // The SHA-NI kernel also leans on SSSE3/SSE4.1 shuffles.
-  out.shani = ssse3 && sse41 && (ebx & (1u << 29)) != 0;
-  return out;
-}
-
-const cpu_features& cached_cpu() {
-  static const cpu_features f = probe_cpu();
-  return f;
+bool cpu_has_shani() {
+  static const bool has = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+    // The SHA-NI kernel also leans on SSSE3/SSE4.1 shuffles.
+    const bool ssse3 = (ecx & (1u << 9)) != 0;
+    const bool sse41 = (ecx & (1u << 19)) != 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    return ssse3 && sse41 && (ebx & (1u << 29)) != 0;
+  }();
+  return has;
 }
 #endif  // DIALED_SHA256_HAVE_X86
 
-compress_fn backend_fn(sha256_backend b) {
-  switch (b) {
+compress_fn backend_fn([[maybe_unused]] sha256_backend b) {
 #if DIALED_SHA256_HAVE_X86
-    case sha256_backend::avx2:
-      return detail::sha256_compress_avx2;
-    case sha256_backend::shani:
-      return detail::sha256_compress_shani;
+  if (b == sha256_backend::shani) return detail::sha256_compress_shani;
 #endif
-    default:
-      return detail::sha256_compress_scalar;
-  }
+  return detail::sha256_compress_scalar;
 }
 
-sha256_backend best_supported() {
-  if (sha256_backend_supported(sha256_backend::shani))
-    return sha256_backend::shani;
-  if (sha256_backend_supported(sha256_backend::avx2))
-    return sha256_backend::avx2;
-  return sha256_backend::scalar;
+void install(sha256_backend b) {
+  g_backend.store(b, std::memory_order_relaxed);
+  g_compress.store(backend_fn(b), std::memory_order_release);
 }
 
 void init_dispatch() {
-  sha256_backend chosen = best_supported();
-  if (const char* env = std::getenv("DIALED_SHA256_IMPL")) {
-    sha256_backend want = chosen;
-    bool parsed = false;
-    if (std::strcmp(env, "scalar") == 0) {
-      want = sha256_backend::scalar;
-      parsed = true;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      want = sha256_backend::avx2;
-      parsed = true;
-    } else if (std::strcmp(env, "shani") == 0) {
-      want = sha256_backend::shani;
-      parsed = true;
-    }
-    if (parsed && sha256_backend_supported(want)) chosen = want;
-  }
-  g_backend.store(chosen, std::memory_order_relaxed);
-  g_compress.store(backend_fn(chosen), std::memory_order_release);
+  // DIALED_SHA256_IMPL=scalar pins the reference path. Any other value,
+  // "shani" included, means the best supported backend, so asking for
+  // SHA-NI on a CPU without it falls back to scalar instead of failing.
+  const char* env = std::getenv("DIALED_SHA256_IMPL");
+  const bool pin_scalar = env != nullptr && std::strcmp(env, "scalar") == 0;
+  install(!pin_scalar && sha256_backend_supported(sha256_backend::shani)
+              ? sha256_backend::shani
+              : sha256_backend::scalar);
 }
 
 compress_fn active_fn() {
@@ -163,7 +113,7 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* blocks,
     std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
     for (int i = 0; i < 64; ++i) {
       const std::uint32_t t1 =
-          h + big_sigma1(e) + ((e & f) ^ (~e & g)) + k[i] + w[i];
+          h + big_sigma1(e) + ((e & f) ^ (~e & g)) + round_k[i] + w[i];
       const std::uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
       h = g;
       g = f;
@@ -189,29 +139,15 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* blocks,
 }  // namespace detail
 
 const char* to_string(sha256_backend b) {
-  switch (b) {
-    case sha256_backend::avx2:
-      return "avx2";
-    case sha256_backend::shani:
-      return "shani";
-    default:
-      return "scalar";
-  }
+  return b == sha256_backend::shani ? "shani" : "scalar";
 }
 
 bool sha256_backend_supported(sha256_backend b) {
-  switch (b) {
-    case sha256_backend::scalar:
-      return true;
+  if (b == sha256_backend::scalar) return true;
 #if DIALED_SHA256_HAVE_X86
-    case sha256_backend::avx2:
-      return cached_cpu().avx2;
-    case sha256_backend::shani:
-      return cached_cpu().shani;
+  if (b == sha256_backend::shani) return cpu_has_shani();
 #endif
-    default:
-      return false;
-  }
+  return false;
 }
 
 sha256_backend sha256_active_backend() {
@@ -222,8 +158,7 @@ sha256_backend sha256_active_backend() {
 bool sha256_force_backend(sha256_backend b) {
   if (!sha256_backend_supported(b)) return false;
   (void)active_fn();  // resolve first so a later lazy init can't clobber us
-  g_backend.store(b, std::memory_order_relaxed);
-  g_compress.store(backend_fn(b), std::memory_order_release);
+  install(b);
   return true;
 }
 

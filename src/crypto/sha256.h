@@ -1,12 +1,12 @@
 // SHA-256 (FIPS 180-4). VRASED's SW-Att computes HMAC-SHA256 over attested
 // memory; this is the self-contained implementation backing it.
 //
-// The compression function is runtime-dispatched: a one-time `cpuid` probe
-// picks the fastest backend the CPU supports (SHA-NI > AVX2 > scalar), and
-// every `sha256` instance routes its block compressions through an atomic
-// function pointer. The scalar backend is always compiled in — it is the
-// differential-testing reference and the only backend on non-x86 builds or
-// when `DIALED_SHA256_PORTABLE` is defined (CMake `-DDIALED_SHA256_SIMD=OFF`).
+// The compression function is runtime-dispatched between two backends: a
+// one-time `cpuid` probe picks SHA-NI when the CPU has it and scalar
+// otherwise, and every `sha256` instance routes its block compressions
+// through an atomic function pointer. The scalar backend is always compiled
+// in — it is the differential-testing reference and the only backend on
+// non-x86 builds.
 #ifndef DIALED_CRYPTO_SHA256_H
 #define DIALED_CRYPTO_SHA256_H
 
@@ -19,11 +19,9 @@
 
 namespace dialed::crypto {
 
-/// Compression backends, ordered slowest-to-fastest. `scalar` is the
-/// portable reference implementation; `avx2` vectorizes the message
-/// schedule (two blocks at a time when the input allows); `shani` uses the
-/// x86 SHA extensions.
-enum class sha256_backend : std::uint8_t { scalar = 0, avx2 = 1, shani = 2 };
+/// Compression backends. `scalar` is the portable reference
+/// implementation; `shani` uses the x86 SHA extensions.
+enum class sha256_backend : std::uint8_t { scalar = 0, shani = 1 };
 
 const char* to_string(sha256_backend b);
 
@@ -31,9 +29,9 @@ const char* to_string(sha256_backend b);
 bool sha256_backend_supported(sha256_backend b);
 
 /// The backend new hash computations will use. Resolved on first use from
-/// the cpuid probe and the `DIALED_SHA256_IMPL=scalar|avx2|shani`
-/// environment override (unknown or unsupported values fall back to the
-/// best supported backend).
+/// the cpuid probe and the `DIALED_SHA256_IMPL=scalar|shani` environment
+/// override (unknown or unsupported values fall back to the best supported
+/// backend).
 sha256_backend sha256_active_backend();
 
 /// Force `b` for subsequent computations; returns false (and changes

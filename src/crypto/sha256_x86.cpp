@@ -1,250 +1,18 @@
-// x86 SHA-256 compression backends, selected at runtime by the dispatch in
-// sha256.cpp. Both are built with function-level target attributes so the
-// translation unit compiles under the project's baseline -march and the
-// unsupported paths are simply never called (cpuid-gated).
+// x86 SHA-NI SHA-256 compression backend, selected at runtime by the
+// dispatch in sha256.cpp. It is built with a function-level target attribute
+// so the translation unit compiles under the project's baseline -march and
+// the kernel is simply never called on CPUs without SHA-NI (cpuid-gated).
 //
-//  - shani: the SHA extensions kernel (SHA256RNDS2/SHA256MSG1/SHA256MSG2),
-//    state packed as ABEF/CDGH vectors, 16 four-round groups per block.
-//  - avx2: vectorized message schedule — four W words per step, with the
-//    W[t-2] dependency resolved in two halves — feeding scalar rounds; two
-//    blocks' schedules are computed in parallel in 256-bit lanes when the
-//    input has them.
+// State is carried as two packed vectors (ABEF / CDGH); each SHA256RNDS2
+// advances two rounds, message words flow through SHA256MSG1/SHA256MSG2 with
+// one ALIGNR fix-up per four-round group, 16 groups per block.
 #include "crypto/sha256_backends.h"
 
 #if DIALED_SHA256_HAVE_X86
 
 #include <immintrin.h>
 
-#include <array>
-#include <bit>
-
 namespace dialed::crypto::detail {
-
-namespace {
-
-constexpr std::array<std::uint32_t, 64> round_k = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-// ---------------------------------------------------------------------------
-// AVX2 backend: SIMD message schedule + scalar rounds.
-
-constexpr std::uint32_t big_sigma0(std::uint32_t x) {
-  return std::rotr(x, 2) ^ std::rotr(x, 13) ^ std::rotr(x, 22);
-}
-constexpr std::uint32_t big_sigma1(std::uint32_t x) {
-  return std::rotr(x, 6) ^ std::rotr(x, 11) ^ std::rotr(x, 25);
-}
-
-// Rounds over a precomputed W+K schedule (64 words per block).
-void rounds64(std::uint32_t* state, const std::uint32_t* wk) {
-  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t t1 = h + big_sigma1(e) + ((e & f) ^ (~e & g)) + wk[i];
-    const std::uint32_t t2 = big_sigma0(a) + ((a & b) ^ (a & c) ^ (b & c));
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state[0] += a;
-  state[1] += b;
-  state[2] += c;
-  state[3] += d;
-  state[4] += e;
-  state[5] += f;
-  state[6] += g;
-  state[7] += h;
-}
-
-__attribute__((target("avx2"))) inline __m128i sigma0_4(__m128i x) {
-  const __m128i r7 = _mm_or_si128(_mm_srli_epi32(x, 7), _mm_slli_epi32(x, 25));
-  const __m128i r18 =
-      _mm_or_si128(_mm_srli_epi32(x, 18), _mm_slli_epi32(x, 14));
-  return _mm_xor_si128(_mm_xor_si128(r7, r18), _mm_srli_epi32(x, 3));
-}
-
-__attribute__((target("avx2"))) inline __m128i sigma1_4(__m128i x) {
-  const __m128i r17 =
-      _mm_or_si128(_mm_srli_epi32(x, 17), _mm_slli_epi32(x, 15));
-  const __m128i r19 =
-      _mm_or_si128(_mm_srli_epi32(x, 19), _mm_slli_epi32(x, 13));
-  return _mm_xor_si128(_mm_xor_si128(r17, r19), _mm_srli_epi32(x, 10));
-}
-
-// One schedule step: given the previous four W groups (x0 = W[t-16..t-13]
-// ... x3 = W[t-4..t-1]), produce W[t..t+3]. Lanes 2,3 depend on lanes 0,1
-// of the result itself (sigma1 of W[t-2] reaches into the new group), so
-// sigma1 is applied in two halves.
-__attribute__((target("avx2"))) inline __m128i schedule_4(__m128i x0,
-                                                          __m128i x1,
-                                                          __m128i x2,
-                                                          __m128i x3) {
-  __m128i t = _mm_add_epi32(x0, sigma0_4(_mm_alignr_epi8(x1, x0, 4)));
-  t = _mm_add_epi32(t, _mm_alignr_epi8(x3, x2, 4));  // + W[t-7..t-4]
-  // Low half: sigma1(W[t-2..t-1]) lives in x3's upper lanes.
-  const __m128i s1_lo = sigma1_4(_mm_shuffle_epi32(x3, 0x0E));
-  const __m128i w_lo = _mm_add_epi32(t, s1_lo);  // lanes 0,1 final
-  // High half: sigma1 of the two words just produced.
-  const __m128i s1_hi = sigma1_4(_mm_shuffle_epi32(w_lo, 0x40));
-  const __m128i w_hi = _mm_add_epi32(t, s1_hi);  // lanes 2,3 final
-  return _mm_blend_epi16(w_lo, w_hi, 0xF0);
-}
-
-__attribute__((target("avx2"))) inline __m256i sigma1_8(__m256i x) {
-  const __m256i r17 =
-      _mm256_or_si256(_mm256_srli_epi32(x, 17), _mm256_slli_epi32(x, 15));
-  const __m256i r19 =
-      _mm256_or_si256(_mm256_srli_epi32(x, 19), _mm256_slli_epi32(x, 13));
-  return _mm256_xor_si256(_mm256_xor_si256(r17, r19),
-                          _mm256_srli_epi32(x, 10));
-}
-
-// 256-bit variant: the same step on two independent blocks, one per
-// 128-bit lane (alignr/shuffle/blend all operate within lanes).
-__attribute__((target("avx2"))) inline __m256i schedule_4x2(__m256i x0,
-                                                            __m256i x1,
-                                                            __m256i x2,
-                                                            __m256i x3) {
-  const __m256i a15 = _mm256_alignr_epi8(x1, x0, 4);
-  const __m256i s0 = _mm256_xor_si256(
-      _mm256_xor_si256(
-          _mm256_or_si256(_mm256_srli_epi32(a15, 7),
-                          _mm256_slli_epi32(a15, 25)),
-          _mm256_or_si256(_mm256_srli_epi32(a15, 18),
-                          _mm256_slli_epi32(a15, 14))),
-      _mm256_srli_epi32(a15, 3));
-  __m256i t = _mm256_add_epi32(x0, s0);
-  t = _mm256_add_epi32(t, _mm256_alignr_epi8(x3, x2, 4));
-  const __m256i w_lo =
-      _mm256_add_epi32(t, sigma1_8(_mm256_shuffle_epi32(x3, 0x0E)));
-  const __m256i w_hi =
-      _mm256_add_epi32(t, sigma1_8(_mm256_shuffle_epi32(w_lo, 0x40)));
-  return _mm256_blend_epi16(w_lo, w_hi, 0xF0);
-}
-
-// Expand one block's 16 big-endian message words into a 64-word W+K
-// schedule.
-__attribute__((target("avx2"))) void build_schedule_1(
-    const std::uint8_t* block, std::uint32_t* wk) {
-  const __m128i bswap = _mm_set_epi64x(
-      static_cast<long long>(0x0c0d0e0f08090a0bULL),
-      static_cast<long long>(0x0405060700010203ULL));
-  __m128i x0 = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block)), bswap);
-  __m128i x1 = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16)), bswap);
-  __m128i x2 = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 32)), bswap);
-  __m128i x3 = _mm_shuffle_epi8(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 48)), bswap);
-  __m128i w[16];
-  w[0] = x0;
-  w[1] = x1;
-  w[2] = x2;
-  w[3] = x3;
-  for (int g = 4; g < 16; ++g) {
-    const __m128i next = schedule_4(x0, x1, x2, x3);
-    w[g] = next;
-    x0 = x1;
-    x1 = x2;
-    x2 = x3;
-    x3 = next;
-  }
-  for (int g = 0; g < 16; ++g) {
-    const __m128i kk = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(round_k.data() + 4 * g));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(wk + 4 * g),
-                     _mm_add_epi32(w[g], kk));
-  }
-}
-
-__attribute__((target("avx2"))) inline __m256i load_pair_be(
-    const std::uint8_t* block_a, const std::uint8_t* block_b, int off,
-    __m256i bswap) {
-  const __m128i lo =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block_a + off));
-  const __m128i hi =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block_b + off));
-  return _mm256_shuffle_epi8(
-      _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1), bswap);
-}
-
-// Two blocks' schedules in parallel: block A in the low 128-bit lane,
-// block B in the high lane.
-__attribute__((target("avx2"))) void build_schedule_2(
-    const std::uint8_t* block_a, const std::uint8_t* block_b,
-    std::uint32_t* wk_a, std::uint32_t* wk_b) {
-  const __m256i bswap = _mm256_set_epi64x(
-      static_cast<long long>(0x0c0d0e0f08090a0bULL),
-      static_cast<long long>(0x0405060700010203ULL),
-      static_cast<long long>(0x0c0d0e0f08090a0bULL),
-      static_cast<long long>(0x0405060700010203ULL));
-  __m256i x0 = load_pair_be(block_a, block_b, 0, bswap);
-  __m256i x1 = load_pair_be(block_a, block_b, 16, bswap);
-  __m256i x2 = load_pair_be(block_a, block_b, 32, bswap);
-  __m256i x3 = load_pair_be(block_a, block_b, 48, bswap);
-  __m256i w[16];
-  w[0] = x0;
-  w[1] = x1;
-  w[2] = x2;
-  w[3] = x3;
-  for (int g = 4; g < 16; ++g) {
-    const __m256i next = schedule_4x2(x0, x1, x2, x3);
-    w[g] = next;
-    x0 = x1;
-    x1 = x2;
-    x2 = x3;
-    x3 = next;
-  }
-  for (int g = 0; g < 16; ++g) {
-    const __m128i kk = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(round_k.data() + 4 * g));
-    const __m256i wkv = _mm256_add_epi32(
-        w[g], _mm256_inserti128_si256(_mm256_castsi128_si256(kk), kk, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(wk_a + 4 * g),
-                     _mm256_castsi256_si128(wkv));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(wk_b + 4 * g),
-                     _mm256_extracti128_si256(wkv, 1));
-  }
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void sha256_compress_avx2(
-    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
-  alignas(32) std::uint32_t wk[2][64];
-  while (n >= 2) {
-    build_schedule_2(blocks, blocks + 64, wk[0], wk[1]);
-    rounds64(state, wk[0]);
-    rounds64(state, wk[1]);
-    blocks += 128;
-    n -= 2;
-  }
-  if (n != 0) {
-    build_schedule_1(blocks, wk[0]);
-    rounds64(state, wk[0]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SHA-NI backend. State is carried as two packed vectors (ABEF / CDGH);
-// each SHA256RNDS2 advances two rounds, message words flow through
-// SHA256MSG1/SHA256MSG2 with one ALIGNR fix-up per four-round group.
 
 __attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
     std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {

@@ -353,7 +353,7 @@ attest_result verifier_hub::verify_impl(
   // v2.1 delta baseline (accepted verdicts ONLY — a rejected report must
   // never steer future reconstructions). Re-takes the shard lock and
   // journals before the verdict record below.
-  if (r.verdict.accepted && cfg_.or_baselines) {
+  if (r.verdict.accepted) {
     adopt_baseline(id, r.seq, report.or_bytes);
   }
   // Journal BEFORE the live counters move: online compaction snapshots
@@ -397,7 +397,7 @@ std::optional<attest_result> verifier_hub::reconstruct_delta(
     }
     device_state& st = sh.states[id];
     const or_baseline& b = st.baseline;
-    if (!cfg_.or_baselines || !b.valid || b.seq != delta.baseline_seq ||
+    if (!b.valid || b.seq != delta.baseline_seq ||
         b.hash != delta.baseline_hash) {
       // Fresh device, desynced prover, or a restart that lost the
       // baseline: the typed signal to resend THIS report as a full

@@ -120,11 +120,6 @@ struct hub_config {
   /// The executor verify_batch fans out on (not owned; must outlive the
   /// hub). nullptr runs every batch inline on the calling thread.
   thread_pool* executor = nullptr;
-  /// Track per-device wire v2.1 delta baselines (the OR of the last
-  /// accepted report, O(or_bytes) memory per device). Off, every v2.1
-  /// frame is rejected baseline_mismatch and no baseline state is kept —
-  /// for fleets that only ever speak full frames.
-  bool or_baselines = true;
   /// Durability sink (src/store/fleet_store): challenge issuance, nonce
   /// retirement and verdicts are journaled through it — issuance and
   /// retirement UNDER the owning shard lock, so the on-disk order matches

@@ -13,7 +13,7 @@
 // reports — what CAN be cached is (a) the ipad/opad key schedule of K
 // (hmac_keystate, per device) and (b) the fixed header‖ER prefix of the
 // message as one contiguous buffer (per firmware), which the hash then
-// absorbs in a single unbroken SIMD run.
+// absorbs in a single unbroken multi-block compression run.
 #ifndef DIALED_ROT_ATTEST_H
 #define DIALED_ROT_ATTEST_H
 

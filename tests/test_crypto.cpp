@@ -210,14 +210,14 @@ TEST(bytes, le16_round_trip) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD backend differential battery (PR 8)
+// SHA-256 backend differential battery (PR 8)
 //
 // Every backend the CPU supports must produce byte-identical digests to
 // the scalar reference, over adversarial lengths (block boundaries, the
-// padding cliff at 55/56, multi-block AVX2 pairs) AND over the checked-in
+// padding cliff at 55/56, multi-block bulk runs) AND over the checked-in
 // wire fuzz corpus — real frame bytes, not synthetic patterns. Backends
 // the CPU lacks are SKIPPED, not failed: the suite must pass on any
-// x86-64 (and, compiled portable, collapses to scalar-vs-scalar).
+// x86-64 (and, on other architectures, collapses to scalar-vs-scalar).
 // ---------------------------------------------------------------------------
 
 /// Deterministic pseudo-random fill (splitmix64), so failures replay.
@@ -260,9 +260,10 @@ class sha256_backends : public ::testing::TestWithParam<sha256_backend> {
 
 TEST_P(sha256_backends, matches_scalar_on_boundary_lengths) {
   // 0/1: empty+tiny. 55/56: the padding cliff (56 spills a second
-  // block). 63/64/65: block boundary. 127..129: the AVX2 two-block
-  // pair boundary. 4096: bulk. 65535: or_max, the largest OR a wire
-  // frame can carry. 70000: beyond any frame, multi-block remainder mix.
+  // block). 63/64/65: block boundary. 127..129: a two-block bulk
+  // compression ending just short of, on, or past a block. 4096: bulk.
+  // 65535: or_max, the largest OR a wire frame can carry. 70000: beyond
+  // any frame, multi-block remainder mix.
   const std::size_t lengths[] = {0,  1,  55,  56,  63,   64,   65,
                                  96, 127, 128, 129, 4096, 65535, 70000};
   for (const std::size_t n : lengths) {
@@ -348,7 +349,6 @@ TEST_P(sha256_backends, hmac_keystate_equals_from_scratch) {
 
 INSTANTIATE_TEST_SUITE_P(all, sha256_backends,
                          ::testing::Values(sha256_backend::scalar,
-                                           sha256_backend::avx2,
                                            sha256_backend::shani),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
@@ -361,12 +361,10 @@ TEST(sha256_dispatch, active_backend_is_supported) {
 }
 
 TEST(sha256_dispatch, force_rejects_unsupported_and_keeps_current) {
-  // Exercise only when some backend genuinely is unsupported (portable
-  // builds / non-SHA CPUs); otherwise nothing to observe.
+  // Exercise only when some backend genuinely is unsupported (non-x86
+  // builds / CPUs without SHA-NI); otherwise nothing to observe.
   const auto before = sha256_active_backend();
-  for (const auto b :
-       {sha256_backend::scalar, sha256_backend::avx2,
-        sha256_backend::shani}) {
+  for (const auto b : {sha256_backend::scalar, sha256_backend::shani}) {
     if (sha256_backend_supported(b)) continue;
     EXPECT_FALSE(sha256_force_backend(b));
     EXPECT_EQ(sha256_active_backend(), before);

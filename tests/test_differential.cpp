@@ -89,7 +89,10 @@ class program_generator {
     switch (rng_() % 9) {
       case 0: return binary(depth, "+", [](auto l, auto r) { return w(l + r); });
       case 1: return binary(depth, "-", [](auto l, auto r) { return w(l - r); });
-      case 2: return binary(depth, "*", [](auto l, auto r) { return w(l * r); });
+      case 2:  // unsigned: two promoted uint16_t can overflow int
+        return binary(depth, "*", [](auto l, auto r) {
+          return static_cast<std::uint16_t>(std::uint32_t{l} * r);
+        });
       case 3: return binary(depth, "&", [](auto l, auto r) { return w(l & r); });
       case 4: return binary(depth, "|", [](auto l, auto r) { return w(l | r); });
       case 5: return binary(depth, "^", [](auto l, auto r) { return w(l ^ r); });

@@ -557,33 +557,6 @@ TEST(hub, adopted_baseline_survives_frame_buffer_reuse) {
   EXPECT_EQ(r.verdict.replayed_result, 13);
 }
 
-TEST(hub, baselines_can_be_disabled_per_hub) {
-  device_registry reg(master_key());
-  const auto prog = adder_prog();
-  const auto id = reg.provision(prog);
-  hub_config cfg;
-  cfg.or_baselines = false;
-  verifier_hub hub(reg, cfg);
-  proto::prover_device dev(prog, reg.derive_key(id));
-
-  const auto g1 = hub.challenge(id);
-  const auto rep1 = dev.invoke(g1.nonce, args(1, 2));
-  ASSERT_TRUE(hub.submit(frame_for(id, g1, rep1)).accepted());
-  // No baseline was adopted: a byte-perfect delta is still rejected.
-  const auto g2 = hub.challenge(id);
-  const auto rep2 = dev.invoke(g2.nonce, args(3, 4));
-  proto::frame_info info;
-  info.device_id = id;
-  info.seq = g2.seq;
-  const auto r = hub.submit(
-      proto::encode_delta_frame(info, rep2, g1.seq, rep1.or_bytes));
-  EXPECT_EQ(r.error, proto_error::baseline_mismatch);
-  // And none is ever persisted through a dump.
-  for (const auto& d : hub.dump_devices()) {
-    EXPECT_FALSE(d.baseline.valid);
-  }
-}
-
 TEST(hub_concurrency, delta_submit_hammer_keeps_baselines_untorn) {
   // 8 threads × delta/full/tampered submissions on ONE device (maximal
   // shard-lock contention on the baseline). Run under TSan in CI. After

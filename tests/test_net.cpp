@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <set>
@@ -259,11 +261,13 @@ TEST(net_http, incomplete_and_oversized) {
 
 /// Registry + hub + running attest_server on ephemeral loopback ports.
 struct harness {
-  explicit harness(server_config cfg = {}, std::size_t executor_workers = 1)
+  explicit harness(server_config cfg = {}, std::size_t executor_workers = 1,
+                   fleet::persist_sink* sink = nullptr)
       : executor(executor_workers), registry(master_key()) {
     fleet::hub_config hc;
     hc.executor = &executor;
     hc.max_outstanding = 256;
+    hc.sink = sink;
     hub.emplace(registry, hc);
     cfg.bind_addr = "127.0.0.1";
     cfg.tcp_port = 0;
@@ -522,13 +526,53 @@ TEST(net_serve, write_stalled_connection_is_closed) {
   ::close(fd);
 }
 
+/// Journals nothing and holds every verification at its durability
+/// barrier until open(): lets a test fill the ingest backlog without
+/// racing the verifier.
+struct gated_sink final : fleet::persist_sink {
+  void on_provision(const fleet::device_record&) override {}
+  void on_challenge(fleet::device_id, std::uint32_t, const fleet::nonce16&,
+                    std::uint64_t) override {}
+  void on_retire(fleet::device_id, const fleet::nonce16&,
+                 fleet::nonce_fate) override {}
+  void on_verdict(fleet::device_id, proto::proto_error, bool) override {}
+  void on_baseline(fleet::device_id, std::uint32_t,
+                   std::span<const std::uint8_t>) override {}
+  void on_tick(std::uint64_t) override {}
+  void sync_barrier() override {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return opened; });
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      opened = true;
+    }
+    cv.notify_all();
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool opened = false;
+};
+
 // Global ingest cap: a pipelined burst past max_pending_frames pauses
-// reads (bounded memory) and still verifies every frame.
+// reads (bounded memory) and still verifies every frame. Verification is
+// held until the cap has paused reads, so the pause never depends on
+// ingest outrunning the verifier.
 TEST(net_serve, global_backlog_cap_pauses_ingest) {
   server_config cfg;
   cfg.max_pending_frames = 4;
   cfg.batching.batch_max = 2;
-  harness h(cfg);
+  gated_sink gate;
+  harness h(cfg, /*executor_workers=*/1, &gate);
+  // Declared after the harness, so destroyed first: a failed assertion
+  // still releases the held batch before the server joins it.
+  const struct release_on_exit {
+    gated_sink& g;
+    ~release_on_exit() { g.open(); }
+  } release{gate};
   const auto prog = adder_prog();
   const auto id = h.provision(prog);
   proto::prover_device dev(prog, h.key(id));
@@ -545,8 +589,14 @@ TEST(net_serve, global_backlog_cap_pauses_ingest) {
     const auto rep = dev.invoke(grant.nonce, args(k, 1));
     frames.push_back(full_frame(id, grant.seq, rep));
   }
-  // Phase 2: fire the whole burst, then collect every result.
+  // Phase 2: fire the whole burst while verification is held; the
+  // backlog reaches the cap and reads pause (folded into the stats by
+  // the 200 ms sweep). Then release verification and collect every
+  // result.
   for (const auto& f : frames) client.send_report(f);
+  EXPECT_TRUE(wait_until(
+      [&] { return h.server->stats().backpressure_pauses > 0; }));
+  gate.open();
   std::set<std::uint32_t> seen;
   for (int k = 0; k < n; ++k) {
     const auto r = client.recv_result();
